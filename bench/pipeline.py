@@ -7,8 +7,10 @@ bench/run.py starts this once per run of the closed loop:
 
 T is run.py's monotonic clock just before the start, so set-up time runs
 from a fresh interpreter to package imported, config loaded and inputs
-written.  Wall and CPU time cover the harness call alone.  The outcome goes
-to RUN_DIR/result.json; the pipeline's outputs go to RUN_DIR/out.
+written.  Wall and CPU time cover the harness call alone.  A speed.Sampler
+runs from the start in this process and its pool workers; the run's speed
+factor goes into the result with the raw times.  The outcome goes to
+RUN_DIR/result.json; the pipeline's outputs go to RUN_DIR/out.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import sys
 import time
 import traceback
 from pathlib import Path
+
+import speed
 
 
 def _cpu_s() -> float:
@@ -32,6 +37,11 @@ def _cpu_s() -> float:
     return total
 
 
+def _speed(samples: list) -> dict:
+    return {"speed": speed.factor(samples), "speed_samples": len(samples),
+            "kernel_us_p50": statistics.median(samples) * 1e6}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -41,6 +51,9 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--setup-only", action="store_true")
     args = ap.parse_args(argv)
+    run_dir = Path(args.dir)
+    sampler = speed.Sampler(run_dir / "speed")
+    sampler.start()
 
     from afferent import config, harness
 
@@ -48,7 +61,6 @@ def main(argv=None) -> int:
     import workloads
 
     wl = workloads.WORKLOADS[args.workload]
-    run_dir = Path(args.dir)
     t0 = time.perf_counter()
     cfg = config.load_config(args.config)
     load_config_ms = (time.perf_counter() - t0) * 1e3
@@ -60,6 +72,8 @@ def main(argv=None) -> int:
     result = {"setup_s": setup_s, "load_config_ms": load_config_ms,
               "package": harness.__file__}
     if args.setup_only:
+        sampler.stop()
+        result.update(_speed(sampler.pooled()))
         (run_dir / "result.json").write_text(json.dumps(result))
         return 0
 
@@ -79,6 +93,7 @@ def main(argv=None) -> int:
         error = traceback.format_exc(limit=4)
     wall_s = time.perf_counter() - t0
     cpu_s = _cpu_s() - cpu0
+    sampler.stop()
     recorder.flush()
 
     layers, procs = spans.collect(span_dir)
@@ -89,6 +104,7 @@ def main(argv=None) -> int:
         peak_rss_mb=sum(p["vm_hwm_kb"] for p in procs.values()) / 1024.0,
         processes=len(procs), error=error, problems=problems,
         digest=None if error else workloads.tree_digest(out),
+        **_speed(sampler.pooled()),
     )
     if args.trace:
         expected = wl.counts(cfg)

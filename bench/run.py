@@ -6,7 +6,9 @@ Run from anywhere inside a checkout; the package is imported from the
 checkout's src/.  One client runs the pipeline to completion in a fresh
 process, then starts the next, until --seconds have passed.  Each run's
 outputs are checked and digested; every run of one invocation must give the
-same digest.  With --trace 0 the last stdout line holds the end-to-end
+same digest.  Every time is scaled by its run's speed factor (speed.py), so
+it reads as seconds at the reference core speed; the raw medians are printed
+above the result.  With --trace 0 the last stdout line holds the end-to-end
 metrics; with --trace 1 untraced and traced runs alternate, and it holds the
 per-layer metrics of the traced runs plus the tracing overhead.  Metric names
 and units come from BENCHMARK.json at the checkout root.  Everything written
@@ -27,6 +29,7 @@ import sys
 import time
 from pathlib import Path
 
+import speed
 import workloads
 
 BENCH = Path(__file__).resolve().parent
@@ -107,6 +110,8 @@ def machine_record() -> dict:
         "blas": blas,
         "thread_pins": THREAD_PINS,
         "jobs": workloads.JOBS,
+        "speed_kernel": {"ref_us": speed.REF_S * 1e6,
+                         "interval_s": speed.INTERVAL_S},
         "loadavg_start": os.getloadavg(),
     }
 
@@ -153,13 +158,13 @@ def main(argv=None) -> int:
         run["traced"] = traced
         runs.append(run)
     measured_s = time.monotonic() - start
-    setups = [r["setup_s"] for r in runs if "setup_s" in r]
+    setups = [r for r in runs if "setup_s" in r]
     while len(setups) < MIN_SETUPS:
         extra = run_pipeline(args.workload, cfg_path,
                              run_root / f"setup{len(setups):03d}", setup_only=True)
         if extra.get("error"):
             break
-        setups.append(extra["setup_s"])
+        setups.append(extra)
 
     digest = next((r["digest"] for r in runs if r.get("digest")), None)
     for r in runs:
@@ -178,11 +183,22 @@ def main(argv=None) -> int:
     lines = [f"workload {args.workload} seed {args.seed}: {len(runs)} runs in "
              f"{measured_s:.1f} s (closed loop, 1 client)",
              "machine " + json.dumps(machine, sort_keys=True)]
+
+    def scaled(key: str, rs: list) -> list:
+        return [r[key] * r["speed"] for r in rs]
+
+    raw = {"wall_s": [r["wall_s"] for r in untraced], "cpu_s": [r["cpu_s"] for r in untraced],
+           "setup_s": [r["setup_s"] for r in setups]}
+    lines.append("raw (unscaled) medians: " + ", ".join(
+        f"{k} {statistics.median(v):.4g}" for k, v in raw.items())
+        + f"; speed factor median {statistics.median(r['speed'] for r in untraced):.3f}"
+        f" (kernel {statistics.median(r['kernel_us_p50'] for r in untraced):.0f} us"
+        f" against {speed.REF_S * 1e6:.0f} us at the reference speed)")
     if args.trace:
         wanted = spec["per_layer"]
         series = {name: [r["layers"][name] for r in traced] for name in traced[0]["layers"]}
-        series["trace.overhead"] = [statistics.median(r["wall_s"] for r in traced)
-                                    / statistics.median(r["wall_s"] for r in untraced)]
+        series["trace.overhead"] = [statistics.median(scaled("wall_s", traced))
+                                    / statistics.median(scaled("wall_s", untraced))]
         series["trace.closure_err"] = [max(r["closure_err"] for r in traced)]
         lines.append(f"tracing overhead {series['trace.overhead'][0]:.3f} (median traced / "
                      f"untraced wall over {len(traced)} + {len(untraced)} runs); closure "
@@ -195,10 +211,10 @@ def main(argv=None) -> int:
     else:
         wanted = spec["end_to_end"]
         series = {
-            "wall_s": [r["wall_s"] for r in untraced],
-            "env_steps_per_s": [r["env_steps"] / r["wall_s"] for r in untraced],
-            "cpu_s": [r["cpu_s"] for r in untraced],
-            "setup_s": setups,
+            "wall_s": scaled("wall_s", untraced),
+            "env_steps_per_s": [r["env_steps"] / (r["wall_s"] * r["speed"]) for r in untraced],
+            "cpu_s": scaled("cpu_s", untraced),
+            "setup_s": scaled("setup_s", setups),
             "peak_rss_mb": [r["peak_rss_mb"] for r in untraced],
         }
 
@@ -219,12 +235,12 @@ def main(argv=None) -> int:
 
     # Keep the outputs and spans of the last two runs only.
     for run_dir in sorted(run_root.glob("run*"))[:-2]:
-        for sub in ("out", "spans"):
+        for sub in ("out", "spans", "speed"):
             shutil.rmtree(run_dir / sub, ignore_errors=True)
     record = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
               "seconds": args.seconds, "machine": machine, "digest": digest,
               "attempted": attempted, "failed": failed, "metrics": metrics,
-              "setup_samples": setups, "runs": runs}
+              "setup_samples": scaled("setup_s", setups), "runs": runs}
     (run_root / "result.json").write_text(json.dumps(record, indent=1, sort_keys=True))
     print("\n".join(lines))
     print(json.dumps({"correct": failed == 0, "attempted": attempted,
