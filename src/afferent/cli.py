@@ -49,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario")
         p.add_argument("--steps", type=int,
                        help="override ppo.total_steps")
+        p.add_argument("--jobs", type=int,
+                       help="override the worker-process count")
     return parser
 
 
@@ -62,7 +64,7 @@ def _resolve_config(args) -> ExperimentConfig:
             raise ConfigError(f"bad --ages value {args.ages!r}") from exc
     return apply_cli_overrides(
         cfg, seed=args.seed, out=args.out, ablation=args.ablation,
-        ages=ages, scenario=args.scenario, steps=args.steps,
+        ages=ages, scenario=args.scenario, steps=args.steps, jobs=args.jobs,
     )
 
 

@@ -280,7 +280,7 @@ def default_config_text() -> str:
 
 def apply_cli_overrides(cfg: ExperimentConfig, *, seed=None, out=None,
                         ablation=None, ages=None, scenario=None,
-                        steps=None) -> ExperimentConfig:
+                        steps=None, jobs=None) -> ExperimentConfig:
     """Fold command-line flags into a parsed config; flags win."""
     updates = {}
     if seed is not None:
@@ -293,6 +293,8 @@ def apply_cli_overrides(cfg: ExperimentConfig, *, seed=None, out=None,
         updates["ages"] = tuple(float(a) for a in ages)
     if scenario is not None:
         updates["scenario"] = str(scenario)
+    if jobs is not None:
+        updates["jobs"] = int(jobs)
     cfg = replace(cfg, **updates) if updates else cfg
     if steps is not None:
         cfg = replace(cfg, ppo=replace(cfg.ppo, total_steps=int(steps)))

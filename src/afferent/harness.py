@@ -27,7 +27,13 @@ from .config import ABLATIONS, ExperimentConfig
 from .errors import ConfigError, TrainingError
 from .evolution import EvalContext, evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
-from .metrics import MetricsReport, RunLog, age_key, compute_metrics
+from .metrics import (
+    SAFE_ACTION_THRESHOLD,
+    MetricsReport,
+    RunLog,
+    age_key,
+    compute_metrics,
+)
 from .policy import RewardParams, obs_dim
 from .rollout import AgentSetup, calibrate_predictive, evaluate_policy, rl_train
 from .stats import welch_test
@@ -140,7 +146,7 @@ def _episode_rows(stats) -> list:
         row = {
             "episode": i,
             "action_mean": float(ep.action_mean),
-            "safe_fraction": float((ep.actions < 0.3).mean()),
+            "safe_fraction": float((ep.actions < SAFE_ACTION_THRESHOLD).mean()),
             "task_mean": float(ep.task_mean),
             "d_total": float(ep.d_total),
         }
@@ -272,7 +278,7 @@ def train(cfg: ExperimentConfig) -> dict:
             "d_total": log.d_total,
             "task_mean": log.task_mean,
             "action_mean": float(log.actions.mean()),
-            "safe_fraction": float((log.actions < 0.3).mean()),
+            "safe_fraction": float((log.actions < SAFE_ACTION_THRESHOLD).mean()),
         },
         "policy_file": f"genomes/policy_{tag}.bin",
     }
@@ -435,7 +441,7 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
         ["variant", "age", "seed", "d_total", "action_mean", "safe_fraction",
          "cat_mean"],
         [[log.variant, log.age, log.seed, log.d_total,
-          float(log.actions.mean()), float((log.actions < 0.3).mean()),
+          float(log.actions.mean()), float((log.actions < SAFE_ACTION_THRESHOLD).mean()),
           "" if log.cats is None else float(log.cats.mean())]
          for v in ABLATIONS for log in run_logs[v]],
     )

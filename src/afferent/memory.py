@@ -7,12 +7,22 @@ once the next h damage increments have been summed (or at episode end with the
 partial sum).  Retrieval is exact linear-scan kNN under cosine distance, and
 recall risk is the inverse-distance-weighted mean of retrieved future-damage
 values.
+
+The query path reads preallocated arrays, never per-call stacks.  The store's
+finalized keys are the rows of one (capacity x key_dim) matrix, oldest first,
+row i belonging to ``episodes[i]``; ``insert`` is its only writer and shifts
+the rows up by one on eviction, so retrieval is one matrix-vector product on
+the first len(store) rows and the stable sort still breaks ties by age.  The
+rolling window keeps its x, activation and CAT rows in fixed arrays in
+chronological order, with one spare row for a query's current step, and keys
+are summarized from views of those rows.  The rows hold the same bytes in the
+same order as stacking the per-episode and per-step arrays, so results are
+bit-identical to the stacking formulation that ``encode_key`` keeps.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +39,6 @@ __all__ = [
     "recall_risk",
     "apply_memory_bias",
     "PRE_WINDOW",
-    "POST_WINDOW",
     "HORIZON",
     "EPS_D",
     "KAPPA_CAT",
@@ -39,7 +48,6 @@ __all__ = [
 ]
 
 PRE_WINDOW = 8  # steps summarized into the context key
-POST_WINDOW = 4  # trailing-context length of the capture protocol; no downstream consumer
 HORIZON = 10  # damage-summation horizon h
 # Trigger thresholds sized to the twin's damage scale: per-step increments top
 # out near 3e-4 at moderate ages, and the combined CAT crosses 0.4 only in the
@@ -89,8 +97,58 @@ class RecallResult:
     d_mean: float
 
 
+class _Window:
+    """The last PRE_WINDOW (x, activations, cat) steps as array rows, oldest first.
+
+    The arrays are allocated by the first push with one spare row past the
+    window, which ``with_current`` fills to summarize a query's current step
+    without recording it.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.xs = self.acts = self.cats = None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def clear(self) -> None:
+        self.n = 0
+
+    def _put(self, row: int, x, activations, cat) -> None:
+        if self.xs is None:
+            self.xs = np.empty((PRE_WINDOW + 1, np.size(x)))
+            self.acts = np.empty((PRE_WINDOW + 1, np.size(activations)))
+            self.cats = np.empty(PRE_WINDOW + 1)
+        self.xs[row] = x
+        self.acts[row] = activations
+        self.cats[row] = cat
+
+    def push(self, x, activations, cat) -> None:
+        if self.n == PRE_WINDOW:
+            for a in (self.xs, self.acts, self.cats):
+                a[:PRE_WINDOW - 1] = a[1:PRE_WINDOW]
+            self.n -= 1
+        self._put(self.n, x, activations, cat)
+        self.n += 1
+
+    def rows(self):
+        """Views of the recorded (xs, acts, cats) rows."""
+        return self.xs[:self.n], self.acts[:self.n], self.cats[:self.n]
+
+    def with_current(self, x, activations, cat):
+        """Views of the last PRE_WINDOW−1 recorded rows plus the given step."""
+        self._put(self.n, x, activations, cat)
+        lo, hi = max(0, self.n + 1 - PRE_WINDOW), self.n + 1
+        return self.xs[lo:hi], self.acts[lo:hi], self.cats[lo:hi]
+
+
 class MemoryStore:
-    """Capacity-bounded FIFO episode store owned by a single rollout worker."""
+    """Capacity-bounded FIFO episode store owned by a single rollout worker.
+
+    ``keys[:len(store)]`` holds the finalized episodes' keys in ``episodes``
+    order; the matrix is allocated by the first insert, which fixes key_dim.
+    """
 
     def __init__(self, capacity: int = CAPACITY, scenario: str = "normal"):
         if capacity <= 0:
@@ -98,21 +156,32 @@ class MemoryStore:
         self.capacity = int(capacity)
         self.scenario = scenario
         self.episodes: list[Episode] = []
+        self.keys: np.ndarray | None = None
         self.pending: list[_Pending] = []
-        self.window: deque = deque(maxlen=PRE_WINDOW)
+        self.window = _Window()
 
     def __len__(self) -> int:
         return len(self.episodes)
 
     def observe(self, x, activations, cat) -> None:
         """Push one step into the rolling context window without capture logic."""
-        self.window.append((np.asarray(x, float), np.asarray(activations, float),
-                            float(cat)))
+        self.window.push(x, activations, cat)
 
     def insert(self, ep: Episode) -> None:
-        self.episodes.append(ep)
-        while len(self.episodes) > self.capacity:
+        key = np.asarray(ep.key, dtype=float)
+        if self.keys is None:
+            self.keys = np.empty((self.capacity, key.size))
+        if key.shape != self.keys.shape[1:]:
+            raise ValidationError(
+                f"key shape {key.shape} does not match the store's key_dim "
+                f"{self.keys.shape[1]}")
+        n = len(self.episodes)
+        if n == self.capacity:
+            self.keys[:-1] = self.keys[1:]
             self.episodes.pop(0)
+            n -= 1
+        self.keys[n] = key
+        self.episodes.append(ep)
 
     def query(self, x, activations, cat, k_ret: int = K_RET) -> RecallResult:
         """Recall risk for the current context before it is recorded.
@@ -121,11 +190,9 @@ class MemoryStore:
         current (x, activations, cat) triple; with fewer than two points the
         result is the empty-memory (0, 0).
         """
-        recent = list(self.window)[-(PRE_WINDOW - 1):]
-        win = recent + [(np.asarray(x, float), np.asarray(activations, float), float(cat))]
-        if len(win) < 2 or not self.episodes:
+        if not self.window or not self.episodes:
             return RecallResult(0.0, 0.0)
-        key = encode_key(win, len(win))
+        key = _summarize(*self.window.with_current(x, activations, cat))
         return recall_risk(retrieve(self, key, k_ret))
 
     def end_episode(self) -> None:
@@ -154,7 +221,12 @@ def encode_key(window, k: int) -> np.ndarray:
     xs = np.stack([np.asarray(w[0], float) for w in window])
     acts = np.stack([np.asarray(w[1], float) for w in window])
     cats = np.array([float(w[2]) for w in window])
-    xdot = (xs[-1] - xs[0]) / (len(window) - 1)
+    return _summarize(xs, acts, cats)
+
+
+def _summarize(xs: np.ndarray, acts: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """encode_key on a window already held as (steps x K), (steps x M), (steps,) rows."""
+    xdot = (xs[-1] - xs[0]) / (len(xs) - 1)
     raw = np.concatenate([xs.mean(axis=0), acts.mean(axis=0), [cats.mean()], xdot])
     norm = float(np.linalg.norm(raw))
     if norm < 1e-12:
@@ -195,9 +267,9 @@ def maybe_capture(
     triggered = record.delta_d > eps_d or record.cat > kappa_cat
     if not triggered or len(store.window) < 2:
         return False
-    win = list(store.window)
-    key = encode_key(win, len(win))
-    cat_hist = float(np.mean([w[2] for w in win]))
+    xs, acts, cats = store.window.rows()
+    key = _summarize(xs, acts, cats)
+    cat_hist = float(np.mean(cats))
     store.pending.append(
         _Pending(
             key=key, scenario=store.scenario, t_event=record.t,
@@ -210,11 +282,11 @@ def maybe_capture(
 def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
     """The k_ret finalized episodes nearest in cosine distance, ties by age."""
     key = np.asarray(key, dtype=float)
-    if not store.episodes:
+    n = len(store.episodes)
+    if not n:
         return []
-    keys = np.stack([ep.key for ep in store.episodes])
-    dist = 1.0 - keys @ key
-    order = np.argsort(dist, kind="stable")[: min(k_ret, len(store.episodes))]
+    dist = 1.0 - store.keys[:n] @ key
+    order = np.argsort(dist, kind="stable")[: min(k_ret, n)]
     return [(store.episodes[i], float(dist[i])) for i in order]
 
 

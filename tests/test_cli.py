@@ -1,6 +1,6 @@
 import pytest
 
-from afferent.cli import build_parser, main
+from afferent.cli import _resolve_config, build_parser, main
 
 MICRO = """
 m = 8
@@ -97,3 +97,19 @@ def test_cli_overrides_reach_harness(micro_config, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("trained no_cat at age 80:")
     assert (out / "genomes" / "policy_meniscus_overload_age80_seed1.bin").is_file()
+
+
+def test_jobs_flag_reaches_config(micro_config):
+    args = build_parser().parse_args(["ablate", "--config", micro_config, "--jobs", "2"])
+    assert _resolve_config(args).jobs == 2
+    args = build_parser().parse_args(["ablate", "--config", micro_config])
+    assert _resolve_config(args).jobs == 1
+
+
+def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
+    rc = main(["simulate", "--config", micro_config,
+               "--out", str(tmp_path / "o"), "--jobs", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "jobs" in err
+    assert not (tmp_path / "o").exists()

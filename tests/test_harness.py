@@ -10,6 +10,7 @@ from afferent.harness import (
     _resolve_genome,
     evaluate,
     probe_lipschitz,
+    run_ablation,
     simulate,
     train,
     variant_plan,
@@ -154,3 +155,18 @@ def test_probe_lipschitz_report(tmp_path):
     assert report["genome"] == "handcrafted"
     assert report["n_pairs"] == 2
     assert (tmp_path / "reports" / "lipschitz_normal_seed0.json").is_file()
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_ablation_output_does_not_depend_on_jobs(tmp_path):
+    genome = handcrafted_genome(8, 3)
+    trees = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
+        trees.append(_tree_bytes(out))
+    assert trees[0] and trees[0] == trees[1]

@@ -5,6 +5,7 @@ from afferent.errors import ValidationError
 from afferent.memory import (
     EPS_WEIGHT,
     HORIZON,
+    PRE_WINDOW,
     Episode,
     MemoryStore,
     StepRecord,
@@ -121,6 +122,63 @@ def test_retrieve_ties_break_by_insertion_order():
     store.insert(episode([1.0, 0.0], delta=2.0))
     out = retrieve(store, np.array([1.0, 0.0]), k_ret=2)
     assert [ep.delta for ep, _ in out] == [1.0, 2.0]
+
+
+def _stacked_retrieve(store, key, k_ret):
+    """retrieve recomputed from a fresh stack of the episodes' own keys."""
+    keys = np.stack([ep.key for ep in store.episodes])
+    dist = 1.0 - keys @ key
+    order = np.argsort(dist, kind="stable")[:k_ret]
+    return [(store.episodes[i].t_event, float(dist[i])) for i in order]
+
+
+def test_key_matrix_matches_stacked_keys_through_evictions():
+    rng = np.random.default_rng(11)
+    pool = rng.normal(size=(6, 7))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    picks = [0, 1, 2, 0, 3, 0, 4, 1, 5, 2, 0, 1, 3, 0, 4, 0, 5, 1, 0, 2]
+    queries = np.vstack([pool, rng.normal(size=(3, 7))])
+    store = MemoryStore(capacity=8)
+    for t, j in enumerate(picks):
+        store.insert(episode(pool[j], delta=float(t), t_event=t))
+        assert len(store) == min(t + 1, 8)
+        assert np.array_equal(store.keys[:len(store)],
+                              np.stack([ep.key for ep in store.episodes]))
+        for q in queries:
+            got = [(ep.t_event, d) for ep, d in retrieve(store, q, k_ret=5)]
+            assert got == _stacked_retrieve(store, q, 5)
+    assert [ep.t_event for ep in store.episodes] == list(range(12, 20))
+    # pool[0] sits at t = 13, 15, 18: exact duplicates tie, oldest first
+    got = retrieve(store, pool[0], k_ret=3)
+    assert [ep.t_event for ep, _ in got] == [13, 15, 18]
+    assert got[0][1] == got[1][1] == got[2][1]
+    with pytest.raises(ValidationError):
+        store.insert(episode(pool[0][:3], delta=0.0))
+
+
+def test_query_after_end_episode_uses_only_new_steps():
+    rng = np.random.default_rng(5)
+    store = MemoryStore()
+    for t in range(10):
+        k = rng.normal(size=7)
+        store.insert(episode(k / np.linalg.norm(k), delta=float(t), t_event=t))
+    steps = [(rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
+             for _ in range(PRE_WINDOW + 3)]
+    for s in steps:
+        store.observe(*s)
+    cur = (rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
+    win = steps[-(PRE_WINDOW - 1):] + [cur]
+    want = recall_risk(retrieve(store, encode_key(win, len(win)), 5))
+    assert store.query(*cur) == want
+    assert len(store.window) == PRE_WINDOW  # the query step is not recorded
+
+    store.end_episode()
+    assert len(store.window) == 0
+    res = store.query(*cur)
+    assert res.y_hat == 0.0 and res.d_mean == 0.0
+    store.observe(*steps[0])
+    want = recall_risk(retrieve(store, encode_key([steps[0], cur], 2), 5))
+    assert store.query(*cur) == want
 
 
 def test_recall_risk_oracle():
