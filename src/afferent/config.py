@@ -2,13 +2,14 @@
 
 A config document is a sequence of ``key = value`` lines with ``#`` comments.
 Dotted keys override grouped defaults (``ppo.lr``, ``reward.lambda_cat``,
-``evolution.popsize``); unknown keys are rejected.  Every operative default
-is named in DEFAULTS so a dumped default document reproduces stock behavior.
+``evolution.popsize``); unknown keys are rejected.  The keys and their
+defaults are the fields of ExperimentConfig; DEFAULTS lists every one, so a
+dumped default document reproduces stock behavior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .env import SCENARIOS
@@ -28,74 +29,20 @@ __all__ = [
 
 ABLATIONS = ("full", "no_cat", "no_evolution", "no_amm", "no_predictive")
 
-# Single source of configurable defaults: key -> stock value.  Value type
-# drives parsing (bool before int: bool is an int subclass).
-DEFAULTS = {
-    "scenario": "normal",
-    "ages": (60.0,),
-    "seeds": (0, 1, 2, 3, 4),
-    "ablation": "full",
-    "out": "out",
-    "seed": 0,
-    "jobs": 1,
-    "m": 64,
-    "k": 3,
-    "dt": 1.0,
-    "episode_len": 200,
-    "mode": "epi",
-    "use_memory": True,
-    "use_predictive": True,
-    "memory_bias": False,
-    "genome": "",
-    "policy": "",
-    "memory.capacity": 512,
-    "memory.k_ret": 5,
-    "memory.eps_d": 2e-4,
-    "memory.kappa_cat": 0.4,
-    "ppo.clip": 0.2,
-    "ppo.gamma": 0.99,
-    "ppo.gae_lambda": 0.95,
-    "ppo.lr": 3e-4,
-    "ppo.rollout_len": 1024,
-    "ppo.epochs": 4,
-    "ppo.minibatch": 64,
-    "ppo.total_steps": 20000,
-    "ppo.hidden": (64, 64),
-    "ppo.entropy_coef": 0.01,
-    "ppo.value_coef": 0.5,
-    "ppo.max_grad_norm": 0.5,
-    "reward.lambda_cat": 2.0,
-    "reward.lambda_d": 5.0,
-    "reward.lambda_mem": 25.0,
-    "evolution.generations": 5,
-    "evolution.popsize": 8,
-    "evolution.sigma0": 0.5,
-    "evolution.gamma_d": 1.0,
-    "evolution.eval_episodes": 2,
-    "evolution.eval_seeds": (901, 902),
-    "evolution.rl_steps_short": 2000,
-    "evolution.rl_steps_long": 5000,
-    "evolution.top_fraction": 0.25,
-    "predictive.seed": 42,
-    "predictive.samples": 2000,
-    "predictive.kappa": 10.0,
-    "predictive.lambda_env": 0.7,
-    "predictive.lambda_pred": 0.3,
-    "sim.repeats": 5,
-    "sim.steps": 80,
-    "sim.action": 0.7,
-    "sim.age": 40.0,
-    "eval.episodes": 2,
-    "eval.seeds": (701, 702, 703),
-    "probe.pairs": 100,
-    "probe.radius": 0.1,
-    "probe.sd": 0.01,
-}
+
+def _key(key: str, default):
+    """A field set by the dotted config ``key`` instead of its own name."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration shared by all subcommands."""
+    """Resolved configuration shared by all subcommands.
+
+    Each field is one config key: its name, or the dotted key in its
+    metadata.  A nested dataclass field is a group contributing one
+    ``<group>.<name>`` key per field, the group being its name or metadata key.
+    """
 
     scenario: str = "normal"
     ages: tuple = (60.0,)
@@ -114,30 +61,31 @@ class ExperimentConfig:
     memory_bias: bool = False
     genome: str = ""
     policy: str = ""
-    memory_capacity: int = 512
-    memory_k_ret: int = 5
-    memory_eps_d: float = 2e-4
-    memory_kappa_cat: float = 0.4
+    memory_capacity: int = _key("memory.capacity", 512)
+    memory_k_ret: int = _key("memory.k_ret", 5)
+    memory_eps_d: float = _key("memory.eps_d", 2e-4)
+    memory_kappa_cat: float = _key("memory.kappa_cat", 0.4)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     reward: RewardParams = field(default_factory=RewardParams)
-    fitness: FitnessSpec = field(default_factory=FitnessSpec)
-    evo_generations: int = 5
-    evo_popsize: int = 8
-    evo_sigma0: float = 0.5
-    pred_seed: int = 42
-    pred_samples: int = 2000
-    pred_kappa: float = 10.0
-    pred_lambda_env: float = 0.7
-    pred_lambda_pred: float = 0.3
-    sim_repeats: int = 5
-    sim_steps: int = 80
-    sim_action: float = 0.7
-    sim_age: float = 40.0
-    eval_episodes: int = 2
-    eval_seeds: tuple = (701, 702, 703)
-    probe_pairs: int = 100
-    probe_radius: float = 0.1
-    probe_sd: float = 0.01
+    fitness: FitnessSpec = field(default_factory=FitnessSpec,
+                                 metadata={"key": "evolution"})
+    evo_generations: int = _key("evolution.generations", 5)
+    evo_popsize: int = _key("evolution.popsize", 8)
+    evo_sigma0: float = _key("evolution.sigma0", 0.5)
+    pred_seed: int = _key("predictive.seed", 42)
+    pred_samples: int = _key("predictive.samples", 2000)
+    pred_kappa: float = _key("predictive.kappa", 10.0)
+    pred_lambda_env: float = _key("predictive.lambda_env", 0.7)
+    pred_lambda_pred: float = _key("predictive.lambda_pred", 0.3)
+    sim_repeats: int = _key("sim.repeats", 5)
+    sim_steps: int = _key("sim.steps", 80)
+    sim_action: float = _key("sim.action", 0.7)
+    sim_age: float = _key("sim.age", 40.0)
+    eval_episodes: int = _key("eval.episodes", 2)
+    eval_seeds: tuple = _key("eval.seeds", (701, 702, 703))
+    probe_pairs: int = _key("probe.pairs", 100)
+    probe_radius: float = _key("probe.radius", 0.1)
+    probe_sd: float = _key("probe.sd", 0.01)
 
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
@@ -154,9 +102,34 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.m < 1 or self.k < 1:
             raise ConfigError("m and k must be >= 1")
+        if self.k != 3:
+            raise ConfigError(f"k must be 3, the twin's feature count; got {self.k}")
+        for key, value in (("episode_len", self.episode_len),
+                           ("memory.capacity", self.memory_capacity),
+                           ("eval.episodes", self.eval_episodes)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1")
         for a in self.ages:
             if not 20.0 <= float(a) <= 90.0:
                 raise ConfigError(f"age {a} outside [20, 90]")
+
+
+def _keys():
+    """(key, field name, group field name or None, stock value) per config key."""
+    for f in fields(ExperimentConfig):
+        key = f.metadata.get("key", f.name)
+        if is_dataclass(f.default_factory):
+            group = f.default_factory()
+            for g in fields(group):
+                yield f"{key}.{g.name}", f.name, g.name, getattr(group, g.name)
+        else:
+            yield key, f.name, None, f.default
+
+
+# Every configurable key with its stock value.  Value type drives parsing
+# (bool before int: bool is an int subclass).
+DEFAULTS = {key: value for key, _, _, value in _keys()}
+_TARGETS = {key: (name, sub) for key, name, sub, _ in _keys()}
 
 
 def _parse_scalar(text: str, template):
@@ -206,49 +179,18 @@ def parse_config_text(text: str) -> dict:
 
 
 def _build(values: dict) -> ExperimentConfig:
-    merged = dict(DEFAULTS)
-    merged.update(values)
-
-    def grp(prefix):
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in merged.items() if k.startswith(prefix + ".")}
-
+    top, groups = {}, {}
+    for key, value in values.items():
+        name, sub = _TARGETS[key]
+        if sub is None:
+            top[name] = value
+        else:
+            groups.setdefault(name, {})[sub] = value
     try:
-        ppo = PPOConfig(**grp("ppo"))
-        reward = RewardParams(**grp("reward"))
-        evo = grp("evolution")
-        fitness = FitnessSpec(
-            gamma_d=evo["gamma_d"], eval_episodes=evo["eval_episodes"],
-            eval_seeds=evo["eval_seeds"], rl_steps_short=evo["rl_steps_short"],
-            rl_steps_long=evo["rl_steps_long"], top_fraction=evo["top_fraction"],
-        )
-        mem = grp("memory")
-        pred = grp("predictive")
-        sim = grp("sim")
-        evl = grp("eval")
-        probe = grp("probe")
-        return ExperimentConfig(
-            scenario=merged["scenario"], ages=merged["ages"], seeds=merged["seeds"],
-            ablation=merged["ablation"], out=merged["out"], seed=merged["seed"],
-            jobs=merged["jobs"], m=merged["m"], k=merged["k"], dt=merged["dt"],
-            episode_len=merged["episode_len"], mode=merged["mode"],
-            use_memory=merged["use_memory"], use_predictive=merged["use_predictive"],
-            memory_bias=merged["memory_bias"], genome=merged["genome"],
-            policy=merged["policy"],
-            memory_capacity=mem["capacity"], memory_k_ret=mem["k_ret"],
-            memory_eps_d=mem["eps_d"], memory_kappa_cat=mem["kappa_cat"],
-            ppo=ppo, reward=reward, fitness=fitness,
-            evo_generations=evo["generations"], evo_popsize=evo["popsize"],
-            evo_sigma0=evo["sigma0"],
-            pred_seed=pred["seed"], pred_samples=pred["samples"],
-            pred_kappa=pred["kappa"], pred_lambda_env=pred["lambda_env"],
-            pred_lambda_pred=pred["lambda_pred"],
-            sim_repeats=sim["repeats"], sim_steps=sim["steps"],
-            sim_action=sim["action"], sim_age=sim["age"],
-            eval_episodes=evl["episodes"], eval_seeds=evl["seeds"],
-            probe_pairs=probe["pairs"], probe_radius=probe["radius"],
-            probe_sd=probe["sd"],
-        )
+        for f in fields(ExperimentConfig):
+            if f.name in groups:
+                top[f.name] = f.default_factory(**groups[f.name])
+        return ExperimentConfig(**top)
     except ValidationError as exc:
         # Bad values supplied through config are configuration errors.
         raise ConfigError(str(exc)) from exc

@@ -10,22 +10,19 @@ extra RL seed before ranks go to CMA-ES.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import env as twin
-from .afferents import Genome, decode_genome
+from .afferents import Genome
 from .cmaes import ask, init_evolution, tell
 from .errors import TrainingError, ValidationError
-from .memory import MemoryStore
-from .policy import PPOConfig, RewardParams
-from .rollout import AgentSetup, evaluate_policy, rl_train
+from .policy import PPOConfig
+from .rollout import evaluate_policy, rl_train
 from .util import percentile_95, rng_for
 
 __all__ = [
     "FitnessSpec",
-    "EvalContext",
     "evaluate_fitness",
     "run_evolution",
     "lipschitz_probe",
@@ -48,45 +45,22 @@ class FitnessSpec:
             raise ValidationError("top_fraction must lie in (0, 1]")
 
 
-@dataclass
-class EvalContext:
-    """Fixed experimental conditions a genome is evaluated under."""
-
-    m: int
-    k: int
-    scenario: twin.ScenarioConfig
-    age: float
-    mode: str = "base"
-    reward: RewardParams = field(default_factory=RewardParams)
-    use_memory: bool = False
-    predictive: tuple | None = None  # (SafeStateModel, DiscrepancyParams)
-    memory_bias: bool = False
-    episode_len: int = twin.EPISODE_LEN
-    dt: float = 1.0
-
-
 def _genome_hash(genome: Genome) -> str:
     return hashlib.sha256(np.ascontiguousarray(genome.raw).tobytes()).hexdigest()
 
 
-def evaluate_fitness(genome: Genome, spec: FitnessSpec, ectx: EvalContext,
-                     ppo_cfg: PPOConfig, rl_steps: int, rl_seeds=(0,)) -> float:
+def evaluate_fitness(genome: Genome, spec: FitnessSpec, build, ppo_cfg: PPOConfig,
+                     rl_steps: int, rl_seeds=(0,)) -> float:
     """J for one genome: train per RL seed, evaluate, average.
 
+    build maps a genome to a fresh AgentSetup, called once per RL seed.
     Training failures yield -inf so CMA-ES ranks the candidate last.  The
     genome must come back bit-identical from training (bi-level separation).
     """
     before = _genome_hash(genome)
     scores = []
     for rl_seed in rl_seeds:
-        array = decode_genome(genome, ectx.dt)
-        memory = MemoryStore(scenario=ectx.scenario.name) if ectx.use_memory else None
-        safe_model, disc = ectx.predictive if ectx.predictive is not None else (None, None)
-        setup = AgentSetup(
-            scenario=ectx.scenario, age=ectx.age, array=array, reward=ectx.reward,
-            mode=ectx.mode, memory=memory, safe_model=safe_model, disc=disc,
-            memory_bias=ectx.memory_bias, episode_len=ectx.episode_len,
-        )
+        setup = build(genome)
         cfg = replace(ppo_cfg, total_steps=int(rl_steps))
         try:
             result = rl_train(setup, cfg, int(rl_seed))
@@ -101,35 +75,36 @@ def evaluate_fitness(genome: Genome, spec: FitnessSpec, ectx: EvalContext,
     return float(np.mean(scores))
 
 
-def run_evolution(spec: FitnessSpec, generations: int, popsize: int,
-                  ectx: EvalContext, ppo_cfg: PPOConfig, seed: int = 0,
+def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
+                  m: int, k: int, ppo_cfg: PPOConfig, seed: int = 0,
                   sigma0: float = 0.5):
-    """CMA-ES over genomes with the two-stage evaluation schedule.
+    """CMA-ES over (m, k) genomes with the two-stage evaluation schedule.
 
-    Returns (best genome seen, per-generation history of best/mean/std
-    fitness).  RL seeds are shared across a generation's candidates so
-    within-generation comparisons use common random numbers.
+    build maps a genome to the AgentSetup it is scored under (see
+    evaluate_fitness).  Returns (best genome seen, per-generation history of
+    best/mean/std fitness).  RL seeds are shared across a generation's
+    candidates so within-generation comparisons use common random numbers.
     """
-    n = ectx.m * (ectx.k + 4)
+    n = m * (k + 4)
     state = init_evolution(n, mean0=np.zeros(n), sigma0=sigma0,
                            popsize=popsize, seed=seed)
-    best_genome = Genome(raw=state.mean.copy(), m=ectx.m, k=ectx.k)
+    best_genome = Genome(raw=state.mean.copy(), m=m, k=k)
     best_fitness = float("-inf")
     history = []
     for gen in range(generations):
         candidates = ask(state)
-        genomes = [Genome(raw=c.copy(), m=ectx.m, k=ectx.k) for c in candidates]
+        genomes = [Genome(raw=c.copy(), m=m, k=k) for c in candidates]
         seed_a = int(rng_for(seed, 11, gen, 0).integers(0, 2**31))
         seed_b = int(rng_for(seed, 11, gen, 1).integers(0, 2**31))
         fits = np.array([
-            evaluate_fitness(g, spec, ectx, ppo_cfg, spec.rl_steps_short, (seed_a,))
+            evaluate_fitness(g, spec, build, ppo_cfg, spec.rl_steps_short, (seed_a,))
             for g in genomes
         ])
         top_k = int(np.ceil(spec.top_fraction * len(genomes)))
         top_idx = np.argsort(-fits, kind="stable")[:top_k]
         for i in top_idx:
             fits[i] = evaluate_fitness(
-                genomes[i], spec, ectx, ppo_cfg, spec.rl_steps_long, (seed_a, seed_b)
+                genomes[i], spec, build, ppo_cfg, spec.rl_steps_long, (seed_a, seed_b)
             )
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fitness:

@@ -25,18 +25,18 @@ from .afferents import (
 )
 from .config import ABLATIONS, ExperimentConfig
 from .errors import ConfigError, TrainingError
-from .evolution import EvalContext, evaluate_fitness, lipschitz_probe, run_evolution
+from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
 from .metrics import (
     SAFE_ACTION_THRESHOLD,
     MetricsReport,
     RunLog,
+    _welch_dict,
     age_key,
     compute_metrics,
 )
 from .policy import RewardParams, obs_dim
 from .rollout import AgentSetup, calibrate_predictive, evaluate_policy, rl_train
-from .stats import welch_test
 from .storage import (
     load_genome,
     load_policy,
@@ -54,6 +54,7 @@ __all__ = [
     "VariantPlan",
     "variant_plan",
     "resolve_predictive",
+    "fitness_setup",
     "evolve_genome",
     "simulate",
     "train",
@@ -111,24 +112,28 @@ def _resolve_genome(cfg: ExperimentConfig) -> Genome:
     return handcrafted_genome(cfg.m, cfg.k, cfg.dt)
 
 
+def fitness_setup(cfg: ExperimentConfig):
+    """The genome -> AgentSetup builder evolution scores candidates under."""
+    # Genomes are selected on base-mode learning, without memory or the
+    # predictive layer; gate 06 and the evolve_base bench counts rely on it.
+    plan = VariantPlan("base", use_memory=False, use_predictive=False,
+                       reward=cfg.reward)
+    return lambda genome: _build_setup(cfg, plan, genome, cfg.ages[0], None, None)
+
+
 def evolve_genome(cfg: ExperimentConfig, seed: int | None = None):
     """Run the outer CMA-ES loop under the config's evolution settings."""
-    ectx = EvalContext(
-        m=cfg.m, k=cfg.k, scenario=twin.SCENARIOS[cfg.scenario],
-        age=float(cfg.ages[0]), reward=cfg.reward,
-        episode_len=cfg.episode_len, dt=cfg.dt,
-    )
     return run_evolution(
-        cfg.fitness, cfg.evo_generations, cfg.evo_popsize, ectx, cfg.ppo,
-        seed=cfg.seed if seed is None else int(seed), sigma0=cfg.evo_sigma0,
+        cfg.fitness, cfg.evo_generations, cfg.evo_popsize, fitness_setup(cfg),
+        cfg.m, cfg.k, cfg.ppo, seed=cfg.seed if seed is None else int(seed),
+        sigma0=cfg.evo_sigma0,
     )
 
 
 def _build_setup(cfg: ExperimentConfig, plan: VariantPlan, genome: Genome,
                  age: float, model, disc) -> AgentSetup:
     array = decode_genome(genome, cfg.dt)
-    memory = (MemoryStore(capacity=cfg.memory_capacity, scenario=cfg.scenario)
-              if plan.use_memory else None)
+    memory = MemoryStore(capacity=cfg.memory_capacity) if plan.use_memory else None
     return AgentSetup(
         scenario=twin.SCENARIOS[cfg.scenario], age=float(age), array=array,
         reward=plan.reward, mode=plan.mode, memory=memory,
@@ -418,18 +423,10 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
             logs = [log for log in run_logs[variant] if log.age == float(age)]
             d = [log.d_total for log in logs]
             if len(full_d) >= 2 and len(d) >= 2:
-                res = welch_test(np.array(full_d), np.array(d))
-                welch[f"d_total:full_vs_{variant}@age{ak}"] = {
-                    "t": res.t, "df": res.df, "p": res.p,
-                    "degenerate": res.degenerate,
-                }
+                welch[f"d_total:full_vs_{variant}@age{ak}"] = _welch_dict(full_d, d)
             cat = [float(log.cats.mean()) for log in logs if log.cats is not None]
             if len(full_cat) >= 2 and len(cat) == len(d) and len(cat) >= 2:
-                res = welch_test(np.array(full_cat), np.array(cat))
-                welch[f"cat:full_vs_{variant}@age{ak}"] = {
-                    "t": res.t, "df": res.df, "p": res.p,
-                    "degenerate": res.degenerate,
-                }
+                welch[f"cat:full_vs_{variant}@age{ak}"] = _welch_dict(full_cat, cat)
     aggregate = {
         "variants": {v: reports[v].to_dict() for v in ABLATIONS},
         "welch": welch,
@@ -452,15 +449,11 @@ def probe_lipschitz(cfg: ExperimentConfig) -> dict:
     """Empirical fitness-smoothness probe around a genome."""
     out = Path(cfg.out)
     genome = _resolve_genome(cfg)
-    ectx = EvalContext(
-        m=cfg.m, k=cfg.k, scenario=twin.SCENARIOS[cfg.scenario],
-        age=float(cfg.ages[0]), reward=cfg.reward,
-        episode_len=cfg.episode_len, dt=cfg.dt,
-    )
+    build = fitness_setup(cfg)
 
     def fitness_fn(raw):
         g = Genome(raw=np.asarray(raw, dtype=float), m=cfg.m, k=cfg.k)
-        return evaluate_fitness(g, cfg.fitness, ectx, cfg.ppo,
+        return evaluate_fitness(g, cfg.fitness, build, cfg.ppo,
                                 cfg.fitness.rl_steps_short, (0,))
 
     l_hat = lipschitz_probe(genome, fitness_fn, n_pairs=cfg.probe_pairs,

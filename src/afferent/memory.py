@@ -66,7 +66,6 @@ class StepRecord:
     x: np.ndarray
     activations: np.ndarray
     cat: float
-    action: float
     delta_d: float
     t: int
 
@@ -75,16 +74,13 @@ class StepRecord:
 class Episode:
     key: np.ndarray
     delta: float
-    scenario: str
     t_event: int
-    finalized: bool
     cat_hist: float  # pre-normalization mean CAT of the capture window
 
 
 @dataclass
 class _Pending:
     key: np.ndarray
-    scenario: str
     t_event: int
     cat_hist: float
     delta_sum: float
@@ -150,11 +146,10 @@ class MemoryStore:
     order; the matrix is allocated by the first insert, which fixes key_dim.
     """
 
-    def __init__(self, capacity: int = CAPACITY, scenario: str = "normal"):
+    def __init__(self, capacity: int = CAPACITY):
         if capacity <= 0:
             raise ValidationError("capacity must be positive")
         self.capacity = int(capacity)
-        self.scenario = scenario
         self.episodes: list[Episode] = []
         self.keys: np.ndarray | None = None
         self.pending: list[_Pending] = []
@@ -198,12 +193,8 @@ class MemoryStore:
     def end_episode(self) -> None:
         """Finalize pendings with their partial sums and clear the window."""
         for p in self.pending:
-            self.insert(
-                Episode(
-                    key=p.key, delta=p.delta_sum, scenario=p.scenario,
-                    t_event=p.t_event, finalized=True, cat_hist=p.cat_hist,
-                )
-            )
+            self.insert(Episode(key=p.key, delta=p.delta_sum,
+                                t_event=p.t_event, cat_hist=p.cat_hist))
         self.pending = []
         self.window.clear()
 
@@ -254,12 +245,8 @@ def maybe_capture(
         p.delta_sum += record.delta_d
         p.steps_left -= 1
         if p.steps_left <= 0:
-            store.insert(
-                Episode(
-                    key=p.key, delta=p.delta_sum, scenario=p.scenario,
-                    t_event=p.t_event, finalized=True, cat_hist=p.cat_hist,
-                )
-            )
+            store.insert(Episode(key=p.key, delta=p.delta_sum,
+                                 t_event=p.t_event, cat_hist=p.cat_hist))
         else:
             still_open.append(p)
     store.pending = still_open
@@ -272,8 +259,8 @@ def maybe_capture(
     cat_hist = float(np.mean(cats))
     store.pending.append(
         _Pending(
-            key=key, scenario=store.scenario, t_event=record.t,
-            cat_hist=cat_hist, delta_sum=record.delta_d, steps_left=HORIZON - 1,
+            key=key, t_event=record.t, cat_hist=cat_hist,
+            delta_sum=record.delta_d, steps_left=HORIZON - 1,
         )
     )
     return True
@@ -303,13 +290,13 @@ def recall_risk(retrieved) -> RecallResult:
     return RecallResult(float(w @ deltas), float(d.mean()))
 
 
-def apply_memory_bias(cat_mech: float, store: MemoryStore, scenario: str) -> float:
-    """Blend 70% mechanical CAT with 30% historical mean CAT for the scenario.
+def apply_memory_bias(cat_mech: float, store: MemoryStore) -> float:
+    """Blend 70% mechanical CAT with 30% historical mean CAT of the store.
 
-    Requires at least 3 finalized episodes tagged with the scenario; otherwise
-    the mechanical CAT passes through unchanged.
+    Requires at least 3 finalized episodes; otherwise the mechanical CAT
+    passes through unchanged.
     """
-    hist = [ep.cat_hist for ep in store.episodes if ep.finalized and ep.scenario == scenario]
+    hist = [ep.cat_hist for ep in store.episodes]
     if len(hist) < 3:
         return cat_mech
     return 0.7 * cat_mech + 0.3 * float(np.mean(hist))

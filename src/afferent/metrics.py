@@ -66,20 +66,6 @@ class MetricsReport:
             "recall_mean": None if self.recall_mean is None else dict(self.recall_mean),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            mean_cat=dict(d["mean_cat"]),
-            cat_efficiency=d["cat_efficiency"],
-            age_robustness=d["age_robustness"],
-            mean_action=dict(d["mean_action"]),
-            safe_action_fraction=dict(d["safe_action_fraction"]),
-            d_total=[dict(r) for r in d["d_total"]],
-            welch={k: dict(v) for k, v in d["welch"].items()},
-            bonferroni_multiplier=d["bonferroni_multiplier"],
-            recall_mean=None if d["recall_mean"] is None else dict(d["recall_mean"]),
-        )
-
 
 def age_key(age: float) -> str:
     """JSON object keys must be strings; '%g' keeps 20.0 and 20 identical."""

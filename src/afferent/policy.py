@@ -25,7 +25,6 @@ __all__ = [
     "build_observation",
     "shaped_reward",
     "init_policy",
-    "sample_action",
     "sample_action_z",
     "gae",
     "ppo_loss_and_grad",
@@ -81,6 +80,9 @@ class PPOConfig:
             raise ValidationError("gamma must lie in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValidationError("gae_lambda must lie in [0, 1]")
+        for name in ("rollout_len", "epochs", "minibatch"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
 
 
 def obs_dim(mode: str, k: int, m: int) -> int:
@@ -177,33 +179,17 @@ def _log_prob_z(mu: np.ndarray, log_std: float, z: np.ndarray) -> np.ndarray:
     return gauss - _squash_log_jacobian(z)
 
 
-def _draw(policy: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    mu = policy.mean(obs)
-    std = np.exp(policy.log_std)
-    z = mu + std * rng.standard_normal(mu.shape)
-    action = 0.5 * (np.tanh(z) + 1.0)
-    logp = _log_prob_z(mu, policy.log_std, z)
-    return action, logp, z
-
-
-def sample_action(policy: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
-    """Draw one action in [0, 1] and its log-probability."""
-    obs = np.asarray(obs, dtype=float)
-    if obs.shape != (policy.obs_dim,):
-        raise ValidationError("observation length %d, expected %d"
-                              % (obs.size, policy.obs_dim))
-    action, logp, _ = _draw(policy, obs, rng)
-    return float(action[0]), float(logp[0])
-
-
 def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
-    """As sample_action, additionally returning the pre-squash draw z.
+    """Draw one action in [0, 1], its log-probability and the pre-squash draw z.
 
     Updates recompute log-probabilities at the stored z, so the squash
     inversion never has to run on saturated actions.
     """
-    action, logp, z = _draw(policy, obs, rng)
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    mu = policy.mean(obs)
+    z = mu + np.exp(policy.log_std) * rng.standard_normal(mu.shape)
+    action = 0.5 * (np.tanh(z) + 1.0)
+    logp = _log_prob_z(mu, policy.log_std, z)
     return float(action[0]), float(logp[0]), float(z[0])
 
 

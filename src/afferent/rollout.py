@@ -149,7 +149,7 @@ class Runner:
                     delta = discrepancy(x, s.safe_model.predict(px, pa, pc), s.disc)
                 cat = combine_cat(cat, pred_signal(delta, s.disc), s.disc)
             if s.memory_bias and s.memory is not None:
-                cat = apply_memory_bias(cat, s.memory, s.scenario.name)
+                cat = apply_memory_bias(cat, s.memory)
         y_hat = d_mean = 0.0
         if s.mode == "epi" and s.memory is not None:
             rr = s.memory.query(x, acts, cat, s.k_ret)
@@ -167,8 +167,7 @@ class Runner:
         if s.memory is not None:
             if self.capture:
                 maybe_capture(s.memory, StepRecord(
-                    x=x, activations=acts, cat=cat, action=action,
-                    delta_d=res.delta_d, t=t_act,
+                    x=x, activations=acts, cat=cat, delta_d=res.delta_d, t=t_act,
                 ), s.eps_d, s.kappa_cat)
             else:
                 s.memory.observe(x, acts, cat)

@@ -25,8 +25,8 @@ from afferent.cli import main
 from afferent.cmaes import ask, init_evolution, tell
 from afferent.config import ExperimentConfig
 from afferent.env import SCENARIOS
-from afferent.evolution import EvalContext, FitnessSpec, run_evolution
-from afferent.harness import run_ablation, simulate
+from afferent.evolution import FitnessSpec, run_evolution
+from afferent.harness import fitness_setup, run_ablation, simulate
 from afferent.memory import Episode, MemoryStore, recall_risk, retrieve
 from afferent.nets import Adam
 from afferent.policy import (
@@ -140,8 +140,7 @@ def test_retrieval_against_brute_force():
         store = MemoryStore(capacity=1000)
         for j in range(size):
             store.insert(Episode(key=keys[j], delta=float(deltas[j]),
-                                 scenario="normal", t_event=j, finalized=True,
-                                 cat_hist=0.0))
+                                 t_event=j, cat_hist=0.0))
         q = rng.normal(size=dim)
         q /= np.linalg.norm(q)
 
@@ -269,9 +268,11 @@ def test_cmaes_sphere_and_rank_invariance():
 def test_evolution_trend_across_seeds():
     start = time.perf_counter()
     for seed in (0, 1, 2):
-        ectx = EvalContext(m=8, k=3, scenario=SCENARIOS["normal"], age=60.0)
+        build = fitness_setup(ExperimentConfig(m=8, k=3, scenario="normal",
+                                               ages=(60.0,)))
         _, hist = run_evolution(FitnessSpec(), generations=5, popsize=8,
-                                ectx=ectx, ppo_cfg=PPOConfig(), seed=seed)
+                                build=build, m=8, k=3, ppo_cfg=PPOConfig(),
+                                seed=seed)
         assert hist[-1]["best"] >= hist[0]["mean"], (
             f"seed {seed}: final best {hist[-1]['best']:.4f} "
             f"< gen-0 mean {hist[0]['mean']:.4f}")
@@ -283,7 +284,7 @@ def _train_full_stack(age: float, seed: int, model, disc):
     array = decode_genome(handcrafted_genome(8, 3), dt=1.0)
     setup = AgentSetup(
         scenario=SCENARIOS["normal"], age=age, array=array,
-        reward=RewardParams(), mode="epi", memory=MemoryStore(scenario="normal"),
+        reward=RewardParams(), mode="epi", memory=MemoryStore(),
         safe_model=model, disc=disc,
     )
     result = rl_train(setup, PPOConfig(total_steps=20_000), seed)

@@ -113,3 +113,18 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "jobs" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("episode_len", 0), ("ppo.rollout_len", 0), ("ppo.minibatch", 0),
+    ("ppo.epochs", 0), ("eval.episodes", 0), ("memory.capacity", 0), ("k", 2),
+])
+def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
+    lines = [ln for ln in MICRO.splitlines() if ln.partition("=")[0].strip() != key]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key.split('.')[-1]} must be" in err
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from afferent.config import (
@@ -94,6 +96,66 @@ def test_default_document_round_trips():
     # every named default appears in the rendered document
     for key in DEFAULTS:
         assert any(line.startswith(f"{key} =") for line in text.splitlines())
+
+
+def _flat(cfg) -> dict:
+    """Attribute path -> value, one level into nested groups."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            out.update({f"{f.name}.{g.name}": getattr(value, g.name) for g in fields(value)})
+        else:
+            out[f.name] = value
+    return out
+
+
+def _attribute(key: str) -> str:
+    """The attribute path a config key is documented to set."""
+    group, _, name = key.rpartition(".")
+    if group in ("", "ppo", "reward"):
+        return key
+    if group == "evolution":
+        return f"evo_{name}" if name in ("generations", "popsize", "sigma0") else f"fitness.{name}"
+    prefix = {"memory": "memory", "predictive": "pred", "sim": "sim",
+              "eval": "eval", "probe": "probe"}[group]
+    return f"{prefix}_{name}"
+
+
+def _other_value(key: str, value):
+    """A valid value for the key that differs from its default."""
+    named = {"scenario": "acl_deficient", "ablation": "no_cat", "mode": "base"}
+    if key in named:
+        return named[key]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2  # keeps every range check satisfied
+    if isinstance(value, tuple):
+        return tuple(_other_value(key, v) for v in value)
+    return value + "x"
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def test_each_key_sets_exactly_its_field():
+    stock = _flat(ExperimentConfig())
+    assert len(DEFAULTS) == 59
+    for key, value in DEFAULTS.items():
+        if key == "k":
+            continue  # pinned to the twin's feature count, checked below
+        want = _other_value(key, value)
+        got = _flat(parse_config(f"{key} = {_render(want)}\n"))
+        changed = {attr: v for attr, v in got.items() if v != stock[attr]}
+        assert changed == {_attribute(key): want}, key
+    with pytest.raises(ConfigError, match="k must be 3"):
+        parse_config("k = 4\n")
 
 
 def test_load_config(tmp_path):

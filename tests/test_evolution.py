@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from afferent.afferents import Genome, decode_genome, handcrafted_genome
-from afferent.env import SCENARIOS
+from afferent.config import ExperimentConfig
 from afferent.errors import ValidationError
 from afferent.evolution import (
-    EvalContext,
     FitnessSpec,
     evaluate_fitness,
     lipschitz_probe,
     run_evolution,
 )
+from afferent.harness import fitness_setup
 from afferent.policy import PPOConfig
 
 TINY_SPEC = FitnessSpec(eval_episodes=1, eval_seeds=(901,), rl_steps_short=64,
@@ -18,9 +18,9 @@ TINY_SPEC = FitnessSpec(eval_episodes=1, eval_seeds=(901,), rl_steps_short=64,
 TINY_PPO = PPOConfig(rollout_len=32, minibatch=16, hidden=(8,))
 
 
-def tiny_ctx():
-    return EvalContext(m=4, k=3, scenario=SCENARIOS["normal"], age=60.0,
-                       episode_len=32)
+def tiny_build():
+    return fitness_setup(ExperimentConfig(m=4, k=3, scenario="normal",
+                                          ages=(60.0,), episode_len=32))
 
 
 def test_fitness_spec_validation():
@@ -34,32 +34,32 @@ def test_fitness_spec_validation():
 
 def test_evaluate_fitness_finite_and_deterministic():
     g = handcrafted_genome(4, 3)
-    j1 = evaluate_fitness(g, TINY_SPEC, tiny_ctx(), TINY_PPO, rl_steps=64)
-    j2 = evaluate_fitness(g, TINY_SPEC, tiny_ctx(), TINY_PPO, rl_steps=64)
+    j1 = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, rl_steps=64)
+    j2 = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, rl_steps=64)
     assert np.isfinite(j1)
     assert j1 == j2
 
 
 def test_evaluate_fitness_averages_rl_seeds():
     g = handcrafted_genome(4, 3)
-    ja = evaluate_fitness(g, TINY_SPEC, tiny_ctx(), TINY_PPO, 64, rl_seeds=(0,))
-    jb = evaluate_fitness(g, TINY_SPEC, tiny_ctx(), TINY_PPO, 64, rl_seeds=(1,))
-    jab = evaluate_fitness(g, TINY_SPEC, tiny_ctx(), TINY_PPO, 64, rl_seeds=(0, 1))
+    ja = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, 64, rl_seeds=(0,))
+    jb = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, 64, rl_seeds=(1,))
+    jab = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, 64, rl_seeds=(0, 1))
     assert jab == pytest.approx(0.5 * (ja + jb), abs=1e-12)
 
 
 def test_run_evolution_history_and_determinism():
-    ctx = tiny_ctx()
-    best, hist = run_evolution(TINY_SPEC, generations=2, popsize=4, ectx=ctx,
-                               ppo_cfg=TINY_PPO, seed=5)
+    build = tiny_build()
+    best, hist = run_evolution(TINY_SPEC, generations=2, popsize=4, build=build,
+                               m=4, k=3, ppo_cfg=TINY_PPO, seed=5)
     assert len(hist) == 2
     for row in hist:
         assert set(row) == {"generation", "best", "mean", "std"}
         assert row["best"] >= row["mean"] - 1e-12
-    assert best.m == ctx.m and best.k == ctx.k
-    decode_genome(best, ctx.dt)  # evolved genome must stay decodable
-    best2, hist2 = run_evolution(TINY_SPEC, generations=2, popsize=4, ectx=ctx,
-                                 ppo_cfg=TINY_PPO, seed=5)
+    assert best.m == 4 and best.k == 3
+    decode_genome(best, 1.0)  # evolved genome must stay decodable
+    best2, hist2 = run_evolution(TINY_SPEC, generations=2, popsize=4, build=build,
+                                 m=4, k=3, ppo_cfg=TINY_PPO, seed=5)
     assert hist == hist2
     assert np.array_equal(best.raw, best2.raw)
 

@@ -17,14 +17,14 @@ from afferent.memory import (
 )
 
 
-def rec(x, acts, cat, delta_d, t, action=0.5):
+def rec(x, acts, cat, delta_d, t):
     return StepRecord(x=np.asarray(x, float), activations=np.asarray(acts, float),
-                      cat=cat, action=action, delta_d=delta_d, t=t)
+                      cat=cat, delta_d=delta_d, t=t)
 
 
-def episode(key, delta, scenario="normal", finalized=True, cat_hist=0.0, t_event=0):
-    return Episode(key=np.asarray(key, float), delta=delta, scenario=scenario,
-                   t_event=t_event, finalized=finalized, cat_hist=cat_hist)
+def episode(key, delta, cat_hist=0.0, t_event=0):
+    return Episode(key=np.asarray(key, float), delta=delta, t_event=t_event,
+                   cat_hist=cat_hist)
 
 
 def test_encode_key_layout_oracle():
@@ -59,7 +59,7 @@ def test_store_capacity_fifo():
 
 
 def test_capture_trigger_and_horizon_sum():
-    store = MemoryStore(scenario="normal")
+    store = MemoryStore()
     assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0, t=0))
     assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0, t=1))
     # damage trigger; the event step is the first term of the horizon sum
@@ -70,7 +70,7 @@ def test_capture_trigger_and_horizon_sum():
         assert not opened
     assert len(store.pending) == 0 and len(store) == 1
     ep = store.episodes[0]
-    assert ep.finalized and ep.scenario == "normal" and ep.t_event == 2
+    assert ep.t_event == 2
     assert ep.delta == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
 
 
@@ -101,7 +101,6 @@ def test_end_episode_finalizes_partial_sums():
     assert len(store.pending) == 0 and len(store.window) == 0
     assert len(store) == 1
     assert store.episodes[0].delta == pytest.approx(1e-3 + 2e-5, abs=1e-15)
-    assert store.episodes[0].finalized
 
 
 def test_retrieve_matches_cosine_order():
@@ -226,14 +225,10 @@ def test_query_empty_paths():
 
 def test_memory_bias_blend_and_guards():
     store = MemoryStore()
-    assert apply_memory_bias(0.5, store, "normal") == 0.5
-    for cat_hist in (0.2, 0.4, 0.6):
+    assert apply_memory_bias(0.5, store) == 0.5
+    for cat_hist in (0.2, 0.4):
         store.insert(episode([1.0, 0.0], delta=0.1, cat_hist=cat_hist))
-    store.insert(episode([1.0, 0.0], delta=0.1, scenario="acl_deficient", cat_hist=0.9))
-    got = apply_memory_bias(0.5, store, "normal")
+    assert apply_memory_bias(0.5, store) == 0.5  # fewer than 3 episodes
+    store.insert(episode([1.0, 0.0], delta=0.1, cat_hist=0.6))
+    got = apply_memory_bias(0.5, store)
     assert got == pytest.approx(0.7 * 0.5 + 0.3 * 0.4, abs=1e-12)
-    # unfinalized episodes do not count toward the threshold
-    store2 = MemoryStore()
-    for cat_hist in (0.2, 0.4, 0.6):
-        store2.insert(episode([1.0, 0.0], delta=0.1, finalized=False, cat_hist=cat_hist))
-    assert apply_memory_bias(0.5, store2, "normal") == 0.5

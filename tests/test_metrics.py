@@ -4,7 +4,6 @@ import pytest
 from afferent.errors import ValidationError
 from afferent.metrics import (
     SAFE_ACTION_THRESHOLD,
-    MetricsReport,
     RunLog,
     age_key,
     compute_metrics,
@@ -95,12 +94,3 @@ def test_welch_needs_two_runs_per_side():
 def test_recall_mean_reported_when_present():
     rep = compute_metrics([run(recalls=[0.001, 0.003]), run(seed=1, recalls=[0.005, 0.007])])
     assert rep.recall_mean == {"60": pytest.approx(0.004)}
-
-
-def test_report_round_trip():
-    runs = [run(age=20.0, seed=s, cats=[0.2 + 0.01 * s, 0.3]) for s in range(2)]
-    runs += [run(age=80.0, seed=s, cats=[0.4, 0.5 + 0.01 * s]) for s in range(2)]
-    rep = compute_metrics(runs)
-    again = MetricsReport.from_dict(rep.to_dict())
-    assert again.to_dict() == rep.to_dict()
-    assert again == rep

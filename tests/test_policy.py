@@ -13,7 +13,6 @@ from afferent.policy import (
     obs_dim,
     ppo_loss_and_grad,
     ppo_update,
-    sample_action,
     sample_action_z,
     shaped_reward,
 )
@@ -86,14 +85,12 @@ def test_policy_flat_round_trip_and_log_std_clip():
 def test_sample_action_range_and_determinism():
     policy = init_policy(3, rng_for(1), hidden=(8,))
     obs = np.array([0.2, 0.4, 0.6])
-    draws = [sample_action(policy, obs, rng_for(9, i)) for i in range(200)]
-    actions = np.array([a for a, _ in draws])
+    draws = [sample_action_z(policy, obs, rng_for(9, i)) for i in range(200)]
+    actions = np.array([a for a, _, _ in draws])
     assert np.all(actions > 0.0) and np.all(actions < 1.0)
-    assert np.all(np.isfinite([lp for _, lp in draws]))
-    again = sample_action(policy, obs, rng_for(9, 0))
+    assert np.all(np.isfinite([lp for _, lp, _ in draws]))
+    again = sample_action_z(policy, obs, rng_for(9, 0))
     assert again == draws[0]
-    with pytest.raises(ValidationError):
-        sample_action(policy, np.zeros(4), rng_for(0))
 
 
 def test_sample_action_z_consistency():

@@ -68,18 +68,17 @@ def test_plain_mode_hides_cat():
 
 
 def test_memory_capture_during_training_steps():
-    memory = MemoryStore(scenario="normal")
+    memory = MemoryStore()
     # zero damage threshold makes every post-warmup step a trigger
     setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
     runner = Runner(setup, make_policy(mode="epi"), seed=1)
     runner.collect(40)  # two full episodes
     assert len(memory) > 0
-    assert all(ep.finalized for ep in memory.episodes)
     assert len(memory.pending) == 0  # end_episode flushed them
 
 
 def test_frozen_runner_never_captures():
-    memory = MemoryStore(scenario="normal")
+    memory = MemoryStore()
     setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
     runner = Runner(setup, make_policy(mode="epi"), seed=1, capture=False)
     runner.collect(40)
@@ -121,7 +120,7 @@ def test_evaluate_policy_stats():
 
 
 def test_evaluate_policy_epi_reports_recalls():
-    memory = MemoryStore(scenario="normal")
+    memory = MemoryStore()
     setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
     Runner(setup, make_policy(mode="epi"), seed=1).collect(40)
     stats = evaluate_policy(setup, make_policy(mode="epi"), (701,), 1)
