@@ -172,7 +172,7 @@ def compute_cat(arr: AfferentArray, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.shape != (arr.k,):
         raise ValidationError("feature vector length %d, expected %d" % (x.size, arr.k))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError("feature vector contains non-finite values")
     signals = arr._W @ x
     innovation = sigmoid(arr._alpha * (signals - arr._theta))

@@ -106,7 +106,9 @@ class ExperimentConfig:
             raise ConfigError(f"k must be 3, the twin's feature count; got {self.k}")
         for key, value in (("episode_len", self.episode_len),
                            ("memory.capacity", self.memory_capacity),
-                           ("eval.episodes", self.eval_episodes)):
+                           ("memory.k_ret", self.memory_k_ret),
+                           ("eval.episodes", self.eval_episodes),
+                           ("probe.pairs", self.probe_pairs)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for a in self.ages:
@@ -174,7 +176,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_scalar(value, DEFAULTS[key])
+        try:
+            values[key] = _parse_scalar(value, DEFAULTS[key])
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return values
 
 

@@ -9,7 +9,7 @@ so trajectories are bit-for-bit reproducible and trivially parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +93,28 @@ class StepResult:
     done: bool
 
 
+# (seed, Philox, its Generator, its fresh state) of the last seed drawn from;
+# the package steps environments on one thread per process.
+_noise_slot = None
+
+
 def _noise(seed: int, t: int, sd: float) -> np.ndarray:
+    """Generator(Philox(key=seed, counter=[t, 0, 0, 0])).normal(0, sd, 3).
+
+    The last seed's Philox is reused: each draw first writes back its fresh
+    state with the counter set to t, which also empties its buffer, so no
+    draw depends on the one before.
+    """
+    global _noise_slot
     if sd == 0.0:
         return np.zeros(3)
-    bits = np.random.Generator(np.random.Philox(key=seed, counter=[t, 0, 0, 0]))
-    return bits.normal(0.0, sd, size=3)
+    if _noise_slot is None or _noise_slot[0] != seed:
+        bits = np.random.Philox(key=seed)
+        _noise_slot = (seed, bits, np.random.Generator(bits), bits.state)
+    _, bits, gen, state = _noise_slot
+    state["state"]["counter"][0] = t
+    bits.state = state
+    return gen.normal(0.0, sd, size=3)
 
 
 def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndarray:
@@ -105,15 +122,18 @@ def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndar
     if not 0.0 <= action <= 1.0:
         raise ValidationError("action must lie in [0, 1]")
     phi = 2.0 * np.pi * (state.t % GAIT_PERIOD) / GAIT_PERIOD
+    sin_phi = np.sin(phi)
     age_mult = 1.0 + 0.01 * (state.age - 20.0)
     eta = _noise(state.rng_seed, state.t, cfg.noise_sd)
-    stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * np.sin(phi)) + eta[0]
+    stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
     strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * np.sin(phi + np.pi / 3.0)) + eta[1]
     shear = (
-        cfg.shear_mult * age_mult * action * (0.30 + 0.20 * abs(np.sin(phi)) + 0.3 * cfg.instability)
+        cfg.shear_mult * age_mult * action * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability)
         + eta[2]
     )
-    return np.clip(np.array([stress, strain, shear]), 0.0, 1.0)
+    # maximum/minimum clip as np.clip does: the sums are never -0.0, the one
+    # input on which the two could differ
+    return np.minimum(np.maximum(np.array([stress, strain, shear]), 0.0), 1.0)
 
 
 def damage_increment(x: np.ndarray, action: float, age: float) -> float:
@@ -137,11 +157,11 @@ def reset(cfg: ScenarioConfig, age: float, seed: int) -> EnvState:
     """Fresh state at t=0 with zero damage and features generated at action 0."""
     if not AGE_MIN <= age <= AGE_MAX:
         raise ValidationError("age must lie in [%g, %g]" % (AGE_MIN, AGE_MAX))
-    state = EnvState(
-        t=0, x=np.zeros(3), damage=0.0, age=float(age),
-        years_worked=float(age) - AGE_MIN, rng_seed=int(seed),
-    )
-    return replace(state, x=gen_features(state, 0.0, cfg))
+    age, seed = float(age), int(seed)
+    blank = EnvState(t=0, x=np.zeros(3), damage=0.0, age=age,
+                     years_worked=age - AGE_MIN, rng_seed=seed)
+    return EnvState(t=0, x=gen_features(blank, 0.0, cfg), damage=0.0, age=age,
+                    years_worked=age - AGE_MIN, rng_seed=seed)
 
 
 def step(state: EnvState, action: float, cfg: ScenarioConfig, episode_len: int = EPISODE_LEN):
@@ -149,6 +169,7 @@ def step(state: EnvState, action: float, cfg: ScenarioConfig, episode_len: int =
     x_next = gen_features(state, action, cfg)
     dd = damage_increment(x_next, action, state.age)
     reward = task_reward(action, state.age)
-    new_state = replace(state, t=state.t + 1, x=x_next, damage=state.damage + dd)
+    new_state = EnvState(t=state.t + 1, x=x_next, damage=state.damage + dd, age=state.age,
+                         years_worked=state.years_worked, rng_seed=state.rng_seed)
     done = new_state.t >= episode_len
     return new_state, StepResult(x_next=x_next, delta_d=dd, task_reward=reward, done=done)

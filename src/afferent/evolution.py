@@ -43,6 +43,10 @@ class FitnessSpec:
             raise ValidationError("gamma_d must be positive")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValidationError("top_fraction must lie in (0, 1]")
+        if self.eval_episodes < 1:
+            raise ValidationError("eval_episodes must be >= 1")
+        if not self.eval_seeds:
+            raise ValidationError("eval_seeds must be nonempty")
 
 
 def _genome_hash(genome: Genome) -> str:

@@ -273,7 +273,12 @@ def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
     if not n:
         return []
     dist = 1.0 - store.keys[:n] @ key
-    order = np.argsort(dist, kind="stable")[: min(k_ret, n)]
+    # Only distances up to the k-th smallest can be kept; a stable sort of
+    # those, taken in index order, breaks ties by age as a full sort does.
+    k = min(k_ret, n)
+    kth = np.partition(dist, k - 1)[k - 1]
+    cand = np.flatnonzero(dist <= kth)
+    order = cand[np.argsort(dist[cand], kind="stable")][:k]
     return [(store.episodes[i], float(dist[i])) for i in order]
 
 

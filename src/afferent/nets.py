@@ -62,8 +62,12 @@ class MLP:
             i += b.size
 
     def forward(self, X: np.ndarray):
-        """Batched forward pass; returns (output, cache for backward)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Forward pass; returns (output, cache for backward).
+
+        X is a batch (n x in) or a single row (in,), whose output is the
+        1-D (out,); backward takes the cache of a batch.
+        """
+        X = np.asarray(X, dtype=float)
         hs = [X]
         h = X
         last = len(self.weights) - 1

@@ -37,6 +37,7 @@ OBS_MODES = ("base", "epi", "reduced", "plain")
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_LOG_2 = np.log(2.0)
 
 
 @dataclass
@@ -170,12 +171,15 @@ def init_policy(dim: int, rng: np.random.Generator, mode: str = "base",
 
 def _squash_log_jacobian(z: np.ndarray) -> np.ndarray:
     # log|da/dz| for a = (tanh(z)+1)/2, written to stay finite for large |z|
-    return np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z)
+    return _LOG_2 - 2.0 * z - 2.0 * softplus(-2.0 * z)
 
 
 def _log_prob_z(mu: np.ndarray, log_std: float, z: np.ndarray) -> np.ndarray:
+    # d * d, not d ** 2: an array squares either way, but a float64 scalar's
+    # ** goes through pow, so only d * d gives scalars the same bits
     std = np.exp(log_std)
-    gauss = -0.5 * ((z - mu) / std) ** 2 - log_std - _HALF_LOG_2PI
+    d = (z - mu) / std
+    gauss = -0.5 * (d * d) - log_std - _HALF_LOG_2PI
     return gauss - _squash_log_jacobian(z)
 
 
@@ -183,14 +187,16 @@ def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Genera
     """Draw one action in [0, 1], its log-probability and the pre-squash draw z.
 
     Updates recompute log-probabilities at the stored z, so the squash
-    inversion never has to run on saturated actions.
+    inversion never has to run on saturated actions.  The actor runs on the
+    1-D observation, giving mu of shape (1,) as a batch of one does; the
+    rest runs on float64 scalars, whose operations round as the arrays' do.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    mu = policy.mean(obs)
+    mu, _ = policy.actor.forward(obs)
     z = mu + np.exp(policy.log_std) * rng.standard_normal(mu.shape)
+    mu, z = mu[0], z[0]
     action = 0.5 * (np.tanh(z) + 1.0)
     logp = _log_prob_z(mu, policy.log_std, z)
-    return float(action[0]), float(logp[0]), float(z[0])
+    return float(action), float(logp), float(z)
 
 
 def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.0,

@@ -129,7 +129,7 @@ class Runner:
         self.state = twin.reset(self.setup.scenario, self.setup.age,
                                 self.env_seed_fn(self.episode_idx))
         reset_state(self.setup.array)
-        self.prev = None  # (x, action, context) for the predictive model
+        self.prev = None  # (x, action, t) of the last step, for the predictive model
         self._compute_current()
 
     def _compute_current(self) -> None:
@@ -145,8 +145,9 @@ class Runner:
                 if self.prev is None:
                     delta = 0.0
                 else:
-                    px, pa, pc = self.prev
-                    delta = discrepancy(x, s.safe_model.predict(px, pa, pc), s.disc)
+                    px, pa, pt = self.prev
+                    x_hat = s.safe_model.predict(px, pa, gait_context(pt, s.age))
+                    delta = discrepancy(x, x_hat, s.disc)
                 cat = combine_cat(cat, pred_signal(delta, s.disc), s.disc)
             if s.memory_bias and s.memory is not None:
                 cat = apply_memory_bias(cat, s.memory)
@@ -171,7 +172,7 @@ class Runner:
                 ), s.eps_d, s.kappa_cat)
             else:
                 s.memory.observe(x, acts, cat)
-        self.prev = (x, action, gait_context(t_act, s.age))
+        self.prev = (x, action, t_act)
         out = StepOutput(
             obs=obs, z=z, logp=logp, reward=reward, done=res.done, cat=cat,
             delta_d=res.delta_d, action=action, task=res.task_reward,

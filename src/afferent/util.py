@@ -14,13 +14,15 @@ __all__ = [
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, exact 0/1 in the saturated tails."""
+    """Numerically stable logistic function, exact 0/1 in the saturated tails.
+
+    e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each side
+    of the where is the branch that cannot overflow.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     if out.ndim == 0:
         return float(out)
     return out

@@ -118,6 +118,7 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("episode_len", 0), ("ppo.rollout_len", 0), ("ppo.minibatch", 0),
     ("ppo.epochs", 0), ("eval.episodes", 0), ("memory.capacity", 0), ("k", 2),
+    ("evolution.eval_episodes", 0), ("probe.pairs", 0), ("memory.k_ret", 0),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     lines = [ln for ln in MICRO.splitlines() if ln.partition("=")[0].strip() != key]

@@ -69,8 +69,10 @@ def test_parse_errors_cite_line_numbers():
         parse_config("m = 8\nk = 3\nm = 16\n")
     with pytest.raises(ConfigError, match="expected integer"):
         parse_config("m = eight\n")
-    with pytest.raises(ConfigError, match="expected number"):
+    with pytest.raises(ConfigError, match="line 1: dt: expected number"):
         parse_config("dt = fast\n")
+    with pytest.raises(ConfigError, match="line 2: evolution.eval_seeds: expected comma"):
+        parse_config("m = 8\nevolution.eval_seeds =\n")
 
 
 def test_semantic_validation():

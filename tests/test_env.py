@@ -7,6 +7,7 @@ from afferent.env import (
     EPISODE_LEN,
     SCENARIOS,
     EnvState,
+    _noise,
     damage_increment,
     gen_features,
     optimal_action,
@@ -80,6 +81,20 @@ def test_noise_is_counter_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_noise_equals_a_fresh_philox_draw():
+    # The generator kept between draws must be rewound to the counter with an
+    # empty buffer, whatever seed and counter the previous draw used.
+    def fresh(seed, t, sd):
+        bits = np.random.Philox(key=seed, counter=[t, 0, 0, 0])
+        return np.random.Generator(bits).normal(0.0, sd, size=3)
+
+    a, b = 11, 2**62 - 5
+    draws = [(a, 7, 0.02), (b, 7, 0.02), (a, 7, 0.02), (a, 3, 0.02), (a, 7, 0.5),
+             (a, 0, 0.02), (a, 10_000, 0.02), (b, 3, 0.0), (b, 3, 0.02), (a, 7, 0.02)]
+    for seed, t, sd in draws:
+        assert _noise(seed, t, sd).tobytes() == fresh(seed, t, sd).tobytes()
 
 
 def test_damage_increment_oracle():

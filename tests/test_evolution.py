@@ -30,6 +30,10 @@ def test_fitness_spec_validation():
         FitnessSpec(top_fraction=0.0)
     with pytest.raises(ValidationError):
         FitnessSpec(top_fraction=1.5)
+    with pytest.raises(ValidationError, match="eval_episodes must be >= 1"):
+        FitnessSpec(eval_episodes=0)
+    with pytest.raises(ValidationError, match="eval_seeds must be nonempty"):
+        FitnessSpec(eval_seeds=())
 
 
 def test_evaluate_fitness_finite_and_deterministic():

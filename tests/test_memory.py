@@ -131,6 +131,20 @@ def _stacked_retrieve(store, key, k_ret):
     return [(store.episodes[i].t_event, float(dist[i])) for i in order]
 
 
+def test_retrieve_matches_full_stable_sort_with_ties_across_k():
+    # Three distinct keys among 40 episodes, so nearly every distance ties
+    # exactly, on both sides of the k_ret-th smallest.
+    rng = np.random.default_rng(5)
+    basis = np.eye(4)[:3]
+    store = MemoryStore(capacity=64)
+    for i in range(40):
+        store.insert(episode(basis[rng.integers(3)], delta=float(i), t_event=i))
+    for key in (*basis, np.full(4, 0.5)):
+        for k_ret in (1, 2, 5, 13, 14, 39, 40, 41):
+            got = [(ep.t_event, d) for ep, d in retrieve(store, key, k_ret)]
+            assert got == _stacked_retrieve(store, key, k_ret)
+
+
 def test_key_matrix_matches_stacked_keys_through_evictions():
     rng = np.random.default_rng(11)
     pool = rng.normal(size=(6, 7))

@@ -7,6 +7,7 @@ from afferent.policy import (
     LOG_STD_MIN,
     PPOConfig,
     RewardParams,
+    _log_prob_z,
     build_observation,
     gae,
     init_policy,
@@ -103,6 +104,28 @@ def test_sample_action_z_consistency():
     gauss = -0.5 * ((z - mu) / std) ** 2 - policy.log_std - 0.5 * np.log(2 * np.pi)
     jac = np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z)
     assert logp == pytest.approx(gauss - jac, abs=1e-10)
+
+
+def test_sample_action_z_matches_batch_path_bits():
+    # Reference: the actor on a batch of one, then the same draw on a twin
+    # generator and the log-prob on arrays, once through _log_prob_z and once
+    # written out; both generators must also end in the same state.
+    policy = init_policy(68, rng_for(5))
+    obs_rng, rng, twin = rng_for(6), rng_for(7), rng_for(7)
+    for i in range(60):
+        policy.log_std = float(obs_rng.uniform(LOG_STD_MIN, LOG_STD_MAX))
+        obs = obs_rng.uniform(-1.0, 1.0, 68) * (20.0 if i % 3 == 0 else 1.0)
+        got = sample_action_z(policy, obs, rng)
+        mu = policy.mean(obs[None])
+        std = np.exp(policy.log_std)
+        z = mu + std * twin.standard_normal((1,))
+        logp = _log_prob_z(mu, policy.log_std, z)
+        gauss = -0.5 * ((z - mu) / std) ** 2 - policy.log_std - 0.5 * np.log(2.0 * np.pi)
+        written = gauss - (np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z))
+        assert logp.tobytes() == written.tobytes()
+        want = (0.5 * (np.tanh(z) + 1.0), logp, z)
+        assert np.array(got).tobytes() == np.concatenate(want).tobytes()
+    assert rng.standard_normal() == twin.standard_normal()
 
 
 def test_gae_hand_computed():

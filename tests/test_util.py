@@ -22,6 +22,20 @@ def test_sigmoid_vectorized_matches_scalar():
         assert v == sigmoid(float(x))
 
 
+def test_sigmoid_bits_match_two_branch_reference():
+    # Reference: exp(-x) on x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    # each branch evaluated on its own elements only.
+    xs = np.concatenate([rng_for(8).normal(0.0, 40.0, 5000),
+                         [0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, np.inf, -np.inf]])
+    want = np.empty_like(xs)
+    pos = xs >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+    ex = np.exp(xs[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    assert sigmoid(xs).tobytes() == want.tobytes()
+    assert all(np.float64(sigmoid(float(x))).tobytes() == w.tobytes() for x, w in zip(xs, want))
+
+
 def test_softplus_limits():
     assert softplus(50.0) == pytest.approx(50.0, abs=1e-12)
     assert softplus(-50.0) == pytest.approx(0.0, abs=1e-12)
