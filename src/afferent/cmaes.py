@@ -97,14 +97,11 @@ def init_evolution(n: int, mean0=None, sigma0: float = 0.5,
     )
 
 
-def ask(state: EvolutionState, popsize: int | None = None) -> list:
-    """Sample candidates mean + sigma * B (D z), z standard normal."""
-    lam = state.popsize if popsize is None else int(popsize)
-    if lam < 1:
-        raise ConfigError("popsize must be positive")
-    z = state.rng.standard_normal((lam, state.n))
+def ask(state: EvolutionState) -> list:
+    """Sample popsize candidates mean + sigma * B (D z), z standard normal."""
+    z = state.rng.standard_normal((state.popsize, state.n))
     y = (state.B * state.D) @ z.T
-    return [state.mean + state.sigma * y[:, i] for i in range(lam)]
+    return [state.mean + state.sigma * y[:, i] for i in range(state.popsize)]
 
 
 def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:

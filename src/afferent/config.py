@@ -108,9 +108,23 @@ class ExperimentConfig:
                            ("memory.capacity", self.memory_capacity),
                            ("memory.k_ret", self.memory_k_ret),
                            ("eval.episodes", self.eval_episodes),
-                           ("probe.pairs", self.probe_pairs)):
+                           ("probe.pairs", self.probe_pairs),
+                           ("evolution.generations", self.evo_generations)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),
+                            ("eval.seeds", self.eval_seeds),
+                            ("predictive.seed", (self.pred_seed,)),
+                            ("ppo.total_steps", (self.ppo.total_steps,))):
+            if any(v < 0 for v in values):
+                raise ConfigError(f"{key} must be >= 0")
+        for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa)):
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive")
+        if not 0.0 <= self.sim_action <= 1.0:
+            raise ConfigError("sim.action must be in [0, 1]")
+        if not 20.0 <= self.sim_age <= 90.0:
+            raise ConfigError("sim.age must be in [20, 90]")
         for a in self.ages:
             if not 20.0 <= float(a) <= 90.0:
                 raise ConfigError(f"age {a} outside [20, 90]")

@@ -20,7 +20,6 @@ __all__ = [
     "EnvState",
     "StepResult",
     "SCENARIOS",
-    "scenario_config",
     "reset",
     "gen_features",
     "damage_increment",
@@ -66,13 +65,6 @@ SCENARIOS = {
 }
 
 
-def scenario_config(name: str) -> ScenarioConfig:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigError("unknown scenario %r" % (name,)) from None
-
-
 @dataclass(frozen=True)
 class EnvState:
     """Value-like environment state; step returns a new instance."""
@@ -81,7 +73,6 @@ class EnvState:
     x: np.ndarray
     damage: float
     age: float
-    years_worked: float
     rng_seed: int
 
 
@@ -158,10 +149,9 @@ def reset(cfg: ScenarioConfig, age: float, seed: int) -> EnvState:
     if not AGE_MIN <= age <= AGE_MAX:
         raise ValidationError("age must lie in [%g, %g]" % (AGE_MIN, AGE_MAX))
     age, seed = float(age), int(seed)
-    blank = EnvState(t=0, x=np.zeros(3), damage=0.0, age=age,
-                     years_worked=age - AGE_MIN, rng_seed=seed)
+    blank = EnvState(t=0, x=np.zeros(3), damage=0.0, age=age, rng_seed=seed)
     return EnvState(t=0, x=gen_features(blank, 0.0, cfg), damage=0.0, age=age,
-                    years_worked=age - AGE_MIN, rng_seed=seed)
+                    rng_seed=seed)
 
 
 def step(state: EnvState, action: float, cfg: ScenarioConfig, episode_len: int = EPISODE_LEN):
@@ -170,6 +160,6 @@ def step(state: EnvState, action: float, cfg: ScenarioConfig, episode_len: int =
     dd = damage_increment(x_next, action, state.age)
     reward = task_reward(action, state.age)
     new_state = EnvState(t=state.t + 1, x=x_next, damage=state.damage + dd, age=state.age,
-                         years_worked=state.years_worked, rng_seed=state.rng_seed)
+                         rng_seed=state.rng_seed)
     done = new_state.t >= episode_len
     return new_state, StepResult(x_next=x_next, delta_d=dd, task_reward=reward, done=done)

@@ -47,6 +47,8 @@ class FitnessSpec:
             raise ValidationError("eval_episodes must be >= 1")
         if not self.eval_seeds:
             raise ValidationError("eval_seeds must be nonempty")
+        if any(s < 0 for s in self.eval_seeds):
+            raise ValidationError("eval_seeds must be >= 0")
 
 
 def _genome_hash(genome: Genome) -> str:

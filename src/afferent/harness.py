@@ -10,7 +10,7 @@ from its own seeds, so worker count never changes results.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +121,11 @@ def fitness_setup(cfg: ExperimentConfig):
     return lambda genome: _build_setup(cfg, plan, genome, cfg.ages[0], None, None)
 
 
-def evolve_genome(cfg: ExperimentConfig, seed: int | None = None):
+def evolve_genome(cfg: ExperimentConfig):
     """Run the outer CMA-ES loop under the config's evolution settings."""
     return run_evolution(
         cfg.fitness, cfg.evo_generations, cfg.evo_popsize, fitness_setup(cfg),
-        cfg.m, cfg.k, cfg.ppo, seed=cfg.seed if seed is None else int(seed),
-        sigma0=cfg.evo_sigma0,
+        cfg.m, cfg.k, cfg.ppo, seed=cfg.seed, sigma0=cfg.evo_sigma0,
     )
 
 
@@ -145,22 +144,23 @@ def _build_setup(cfg: ExperimentConfig, plan: VariantPlan, genome: Genome,
     )
 
 
+def _summary(rec) -> dict:
+    """Report fields of an evaluation: one EpisodeStats or one cell's RunLog."""
+    row = {
+        "d_total": float(rec.d_total),
+        "task_mean": float(rec.task_mean),
+        "action_mean": float(rec.actions.mean()),
+        "safe_fraction": float((rec.actions < SAFE_ACTION_THRESHOLD).mean()),
+    }
+    if rec.cats is not None:
+        row["cat_mean"] = float(rec.cats.mean())
+    if rec.recalls is not None:
+        row["recall_mean"] = float(rec.recalls.mean())
+    return row
+
+
 def _episode_rows(stats) -> list:
-    rows = []
-    for i, ep in enumerate(stats):
-        row = {
-            "episode": i,
-            "action_mean": float(ep.action_mean),
-            "safe_fraction": float((ep.actions < SAFE_ACTION_THRESHOLD).mean()),
-            "task_mean": float(ep.task_mean),
-            "d_total": float(ep.d_total),
-        }
-        if ep.cat_mean is not None:
-            row["cat_mean"] = float(ep.cat_mean)
-        if ep.recalls is not None:
-            row["recall_mean"] = float(ep.recalls.mean())
-        rows.append(row)
-    return rows
+    return [{"episode": i, **_summary(ep)} for i, ep in enumerate(stats)]
 
 
 def _run_log(stats, variant: str, age: float, seed: int) -> RunLog:
@@ -195,6 +195,15 @@ def _train_eval_cell(args):
         "history": result.history,
         "policy": result.policy,
     }
+
+
+def _arm_inputs(cfg: ExperimentConfig):
+    """Plan, genome and safe model (None, None without one) of cfg.ablation."""
+    plan = variant_plan(cfg, cfg.ablation)
+    genome = (handcrafted_genome(cfg.m, cfg.k, cfg.dt)
+              if cfg.ablation == "no_evolution" else _resolve_genome(cfg))
+    model, disc = resolve_predictive(cfg) if plan.use_predictive else (None, None)
+    return plan, genome, model, disc
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -250,12 +259,7 @@ def train(cfg: ExperimentConfig) -> dict:
     """Train one policy (cfg.seed) under the cfg.ablation wiring and evaluate."""
     out = Path(cfg.out)
     age = float(cfg.ages[0])
-    plan = variant_plan(cfg, cfg.ablation)
-    genome = (handcrafted_genome(cfg.m, cfg.k, cfg.dt)
-              if cfg.ablation == "no_evolution" else _resolve_genome(cfg))
-    model = disc = None
-    if plan.use_predictive:
-        model, disc = resolve_predictive(cfg)
+    _, genome, model, disc = _arm_inputs(cfg)
     cell = _train_eval_cell((cfg, cfg.ablation, age, cfg.seed, genome, model, disc))
     if "failure" in cell:
         write_json_report(out / "reports" / "failure_manifest.json",
@@ -265,32 +269,19 @@ def train(cfg: ExperimentConfig) -> dict:
     save_policy(out / "genomes" / f"policy_{tag}.bin", cell["policy"])
     if model is not None:
         save_safe_model(out / "genomes" / "safe_model.bin", model, disc)
-    write_csv(
-        out / "curves" / f"train_{tag}.csv",
-        ["step", "mean_reward", "mean_cat", "mean_delta_d", "clip_fraction", "loss"],
-        [[h["step"], h["mean_reward"], h["mean_cat"], h["mean_delta_d"],
-          h["clip_fraction"], h["loss"]] for h in cell["history"]],
-    )
+    columns = ["step", "mean_reward", "mean_cat", "mean_delta_d", "clip_fraction", "loss"]
+    write_csv(out / "curves" / f"train_{tag}.csv", columns,
+              [[h[c] for c in columns] for h in cell["history"]])
     write_jsonl(out / "runs" / f"train_{tag}.jsonl", cell["episodes"])
-    log = cell["run_log"]
     report = {
         "variant": cfg.ablation,
         "scenario": cfg.scenario,
         "age": age,
         "seed": int(cfg.seed),
         "steps": int(cfg.ppo.total_steps),
-        "eval": {
-            "d_total": log.d_total,
-            "task_mean": log.task_mean,
-            "action_mean": float(log.actions.mean()),
-            "safe_fraction": float((log.actions < SAFE_ACTION_THRESHOLD).mean()),
-        },
+        "eval": _summary(cell["run_log"]),
         "policy_file": f"genomes/policy_{tag}.bin",
     }
-    if log.cats is not None:
-        report["eval"]["cat_mean"] = float(log.cats.mean())
-    if log.recalls is not None:
-        report["eval"]["recall_mean"] = float(log.recalls.mean())
     write_json_report(out / "reports" / f"train_{tag}.json", report)
     return report
 
@@ -333,17 +324,12 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     if not path.is_file():
         raise ConfigError(f"policy file not found: {path}")
     policy = load_policy(path)
-    plan = variant_plan(cfg, cfg.ablation)
+    plan, genome, model, disc = _arm_inputs(cfg)
     if policy.mode != plan.mode:
         raise ConfigError(
             f"policy was trained in mode {policy.mode!r}; config wires {plan.mode!r}")
     if policy.obs_dim != obs_dim(plan.mode, cfg.k, cfg.m):
         raise ConfigError("policy observation size does not match m/k in config")
-    genome = (handcrafted_genome(cfg.m, cfg.k, cfg.dt)
-              if cfg.ablation == "no_evolution" else _resolve_genome(cfg))
-    model = disc = None
-    if plan.use_predictive:
-        model, disc = resolve_predictive(cfg)
     logs = []
     for age in cfg.ages:
         setup = _build_setup(cfg, plan, genome, age, model, disc)
@@ -355,7 +341,7 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
         )
     report = compute_metrics(logs)
     write_json_report(out / "reports" / f"evaluate_{cfg.scenario}.json",
-                      report.to_dict())
+                      asdict(report))
     return report
 
 
@@ -428,18 +414,16 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
             if len(full_cat) >= 2 and len(cat) == len(d) and len(cat) >= 2:
                 welch[f"cat:full_vs_{variant}@age{ak}"] = _welch_dict(full_cat, cat)
     aggregate = {
-        "variants": {v: reports[v].to_dict() for v in ABLATIONS},
+        "variants": {v: asdict(reports[v]) for v in ABLATIONS},
         "welch": welch,
         "bonferroni_multiplier": len(welch),
     }
     write_json_report(out / "reports" / "ablation.json", aggregate)
+    columns = ("d_total", "action_mean", "safe_fraction", "cat_mean")
     write_csv(
         out / "curves" / f"ablation_{cfg.scenario}.csv",
-        ["variant", "age", "seed", "d_total", "action_mean", "safe_fraction",
-         "cat_mean"],
-        [[log.variant, log.age, log.seed, log.d_total,
-          float(log.actions.mean()), float((log.actions < SAFE_ACTION_THRESHOLD).mean()),
-          "" if log.cats is None else float(log.cats.mean())]
+        ["variant", "age", "seed", *columns],
+        [[log.variant, log.age, log.seed, *(_summary(log).get(c, "") for c in columns)]
          for v in ABLATIONS for log in run_logs[v]],
     )
     return reports

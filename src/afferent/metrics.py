@@ -53,19 +53,6 @@ class MetricsReport:
     bonferroni_multiplier: int = 0
     recall_mean: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_cat": dict(self.mean_cat),
-            "cat_efficiency": self.cat_efficiency,
-            "age_robustness": self.age_robustness,
-            "mean_action": dict(self.mean_action),
-            "safe_action_fraction": dict(self.safe_action_fraction),
-            "d_total": [dict(r) for r in self.d_total],
-            "welch": {k: dict(v) for k, v in self.welch.items()},
-            "bonferroni_multiplier": self.bonferroni_multiplier,
-            "recall_mean": None if self.recall_mean is None else dict(self.recall_mean),
-        }
-
 
 def age_key(age: float) -> str:
     """JSON object keys must be strings; '%g' keeps 20.0 and 20 identical."""

@@ -100,12 +100,12 @@ class MLP:
 class Adam:
     """Adam on a flat parameter vector."""
 
-    def __init__(self, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, n: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0

@@ -81,6 +81,8 @@ class PPOConfig:
             raise ValidationError("gamma must lie in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValidationError("gae_lambda must lie in [0, 1]")
+        if not self.lr > 0:
+            raise ValidationError("lr must be positive")
         for name in ("rollout_len", "epochs", "minibatch"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
@@ -293,11 +295,9 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
 
 
 def ppo_update(policy: PolicyParams, traj: dict, cfg: PPOConfig,
-               rng: np.random.Generator, optimizer: Adam | None = None) -> dict:
+               rng: np.random.Generator, optimizer: Adam) -> dict:
     """Epochs of minibatch Adam steps on one rollout; returns mean loss stats."""
     n = traj["obs"].shape[0]
-    if optimizer is None:
-        optimizer = Adam(policy.n_params, cfg.lr)
     agg: dict = {}
     count = 0
     for _ in range(cfg.epochs):

@@ -2,8 +2,8 @@
 
 A Runner owns one environment stream plus the afferent array, optional
 episodic memory, and optional predictive discrepancy, and advances them one
-action at a time.  rl_train drives a Runner through PPO rollouts; evaluation
-reuses the same step logic with memory captures frozen.
+action at a time.  rl_train collects PPO rollouts from a Runner; evaluation
+collects one episode at a time from a Runner with memory captures frozen.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .util import percentile_95, rng_for
 
 __all__ = [
     "AgentSetup",
-    "StepOutput",
     "EpisodeStats",
     "Runner",
     "TrainResult",
@@ -84,50 +83,42 @@ class AgentSetup:
     k_ret: int = K_RET
 
 
-@dataclass
-class StepOutput:
-    obs: np.ndarray
-    z: float
-    logp: float
-    reward: float
-    done: bool
-    cat: float
-    delta_d: float
-    action: float
-    task: float
-    damage: float
-    y_hat: float
+# One row per step, in this order; collect turns the rows into one array per
+# column.  "recalls" is the memory's recalled damage y_hat (0 without a query).
+_COLUMNS = ("obs", "z", "logp", "rewards", "dones", "cats", "delta_ds",
+            "actions", "tasks", "damage", "recalls")
 
 
 @dataclass
 class EpisodeStats:
     task_mean: float
     d_total: float
-    cat_mean: float | None
-    action_mean: float
     actions: np.ndarray
     cats: np.ndarray | None
     recalls: np.ndarray | None
 
 
 class Runner:
-    """One agent stream; step_once advances environment, sensors, and memory."""
+    """One agent stream; collect advances environment, sensors, and memory.
+
+    Training captures memory episodes and seeds its episodes from stream 3;
+    a frozen (capture=False) evaluation stream only observes, from stream 5.
+    """
 
     def __init__(self, setup: AgentSetup, policy: PolicyParams, seed: int,
-                 env_seed_fn=None, capture: bool = True):
+                 capture: bool = True):
         self.setup = setup
         self.policy = policy
+        self.seed = seed
         self.capture = capture
         self.action_rng = rng_for(seed, 1)
-        if env_seed_fn is None:
-            env_seed_fn = lambda i: int(rng_for(seed, 3, i).integers(0, 2**62))
-        self.env_seed_fn = env_seed_fn
         self.episode_idx = 0
         self._begin_episode()
 
     def _begin_episode(self) -> None:
-        self.state = twin.reset(self.setup.scenario, self.setup.age,
-                                self.env_seed_fn(self.episode_idx))
+        stream = 3 if self.capture else 5
+        env_seed = int(rng_for(self.seed, stream, self.episode_idx).integers(0, 2**62))
+        self.state = twin.reset(self.setup.scenario, self.setup.age, env_seed)
         reset_state(self.setup.array)
         self.prev = None  # (x, action, t) of the last step, for the predictive model
         self._compute_current()
@@ -155,15 +146,16 @@ class Runner:
         if s.mode == "epi" and s.memory is not None:
             rr = s.memory.query(x, acts, cat, s.k_ret)
             y_hat, d_mean = rr.y_hat, rr.d_mean
-        obs = build_observation(x, acts, cat, y_hat, d_mean, s.mode, age=s.age)
-        self.cur = (x, acts, cat, y_hat, obs)
+        self.cur = (x, acts, cat, y_hat)
+        self.obs = build_observation(x, acts, cat, y_hat, d_mean, s.mode, age=s.age)
 
-    def step_once(self) -> StepOutput:
+    def _step(self) -> tuple:
+        """Act once on the current observation; one row in _COLUMNS order."""
         s = self.setup
-        x, acts, cat, y_hat, obs = self.cur
-        action, logp, z = sample_action_z(self.policy, obs, self.action_rng)
+        x, acts, cat, y_hat = self.cur
+        action, logp, z = sample_action_z(self.policy, self.obs, self.action_rng)
         t_act = self.state.t
-        new_state, res = twin.step(self.state, action, s.scenario, s.episode_len)
+        self.state, res = twin.step(self.state, action, s.scenario, s.episode_len)
         reward = shaped_reward(res.task_reward, cat, res.delta_d, y_hat, s.reward)
         if s.memory is not None:
             if self.capture:
@@ -173,12 +165,8 @@ class Runner:
             else:
                 s.memory.observe(x, acts, cat)
         self.prev = (x, action, t_act)
-        out = StepOutput(
-            obs=obs, z=z, logp=logp, reward=reward, done=res.done, cat=cat,
-            delta_d=res.delta_d, action=action, task=res.task_reward,
-            damage=new_state.damage, y_hat=y_hat,
-        )
-        self.state = new_state
+        row = (self.obs, z, logp, reward, float(res.done), cat, res.delta_d, action,
+               res.task_reward, self.state.damage, y_hat)
         if res.done:
             if s.memory is not None:
                 if self.capture:
@@ -189,24 +177,12 @@ class Runner:
             self._begin_episode()
         else:
             self._compute_current()
-        return out
-
-    @property
-    def bootstrap_obs(self) -> np.ndarray:
-        return self.cur[4]
+        return row
 
     def collect(self, n: int) -> dict:
-        outs = [self.step_once() for _ in range(n)]
-        return {
-            "obs": np.stack([o.obs for o in outs]),
-            "z": np.array([o.z for o in outs]),
-            "logp": np.array([o.logp for o in outs]),
-            "rewards": np.array([o.reward for o in outs]),
-            "dones": np.array([float(o.done) for o in outs]),
-            "cats": np.array([o.cat for o in outs]),
-            "delta_ds": np.array([o.delta_d for o in outs]),
-            "actions": np.array([o.action for o in outs]),
-        }
+        """Step n times; one array per _COLUMNS key, a row per step."""
+        rows = [self._step() for _ in range(n)]
+        return {key: np.array(col) for key, col in zip(_COLUMNS, zip(*rows))}
 
 
 @dataclass
@@ -215,16 +191,14 @@ class TrainResult:
     history: list
 
 
-def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int,
-             policy: PolicyParams | None = None) -> TrainResult:
-    """Train a policy with PPO for cfg.total_steps environment steps.
+def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int) -> TrainResult:
+    """Train a fresh policy with PPO for cfg.total_steps environment steps.
 
     The afferent array parameters are read-only here; only its activation
     state advances, and that is reset per episode.
     """
-    if policy is None:
-        dim = obs_dim(setup.mode, setup.array.k, setup.array.m)
-        policy = init_policy(dim, rng_for(seed, 0), setup.mode, cfg.hidden)
+    dim = obs_dim(setup.mode, setup.array.k, setup.array.m)
+    policy = init_policy(dim, rng_for(seed, 0), setup.mode, cfg.hidden)
     history: list = []
     if cfg.total_steps <= 0:
         return TrainResult(policy, history)
@@ -236,12 +210,11 @@ def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int,
         n = min(cfg.rollout_len, cfg.total_steps - steps_done)
         batch = runner.collect(n)
         values = policy.value(batch["obs"])
-        last_value = float(policy.value(runner.bootstrap_obs[None, :])[0])
+        last_value = float(policy.value(runner.obs[None, :])[0])
         adv, returns = gae(batch["rewards"], values, batch["dones"],
                            cfg.gamma, cfg.gae_lambda, last_value)
-        traj = {"obs": batch["obs"], "z": batch["z"], "logp": batch["logp"],
-                "adv": adv, "returns": returns}
-        stats = ppo_update(policy, traj, cfg, shuffle_rng, optimizer)
+        stats = ppo_update(policy, dict(batch, adv=adv, returns=returns), cfg,
+                           shuffle_rng, optimizer)
         steps_done += n
         history.append({
             "step": steps_done,
@@ -254,40 +227,23 @@ def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int,
     return TrainResult(policy, history)
 
 
-def _run_episode(runner: Runner) -> EpisodeStats:
-    outs = []
-    while True:
-        out = runner.step_once()
-        outs.append(out)
-        if out.done:
-            break
-    actions = np.array([o.action for o in outs])
-    cats = np.array([o.cat for o in outs])
-    plain = runner.setup.mode == "plain"
-    with_memory = runner.setup.mode == "epi" and runner.setup.memory is not None
-    return EpisodeStats(
-        task_mean=float(np.mean([o.task for o in outs])),
-        d_total=float(outs[-1].damage),
-        cat_mean=None if plain else float(cats.mean()),
-        action_mean=float(actions.mean()),
-        actions=actions,
-        cats=None if plain else cats,
-        recalls=np.array([o.y_hat for o in outs]) if with_memory else None,
-    )
-
-
 def evaluate_policy(setup: AgentSetup, policy: PolicyParams, eval_seeds,
                     eval_episodes: int) -> list:
     """Run eval_episodes per seed with memory captures frozen."""
+    with_cat = setup.mode != "plain"
+    with_recall = setup.mode == "epi" and setup.memory is not None
     stats = []
     for s in eval_seeds:
-        runner = Runner(
-            setup, policy, seed=int(s),
-            env_seed_fn=lambda i, s=s: int(rng_for(s, 5, i).integers(0, 2**62)),
-            capture=False,
-        )
+        runner = Runner(setup, policy, seed=int(s), capture=False)
         for _ in range(eval_episodes):
-            stats.append(_run_episode(runner))
+            ep = runner.collect(setup.episode_len)
+            stats.append(EpisodeStats(
+                task_mean=float(ep["tasks"].mean()),
+                d_total=float(ep["damage"][-1]),
+                actions=ep["actions"],
+                cats=ep["cats"] if with_cat else None,
+                recalls=ep["recalls"] if with_recall else None,
+            ))
     return stats
 
 

@@ -119,13 +119,21 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("episode_len", 0), ("ppo.rollout_len", 0), ("ppo.minibatch", 0),
     ("ppo.epochs", 0), ("eval.episodes", 0), ("memory.capacity", 0), ("k", 2),
     ("evolution.eval_episodes", 0), ("probe.pairs", 0), ("memory.k_ret", 0),
+    ("seed", -1), ("seeds", -1), ("eval.seeds", -1), ("evolution.eval_seeds", -1),
+    ("predictive.seed", -1), ("--seed", -1), ("evolution.generations", 0),
+    ("ppo.lr", -1), ("ppo.total_steps", -5), ("--steps", -5), ("dt", -1),
+    ("predictive.kappa", 0), ("sim.action", 2), ("sim.age", 10),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
+    """A config key, or a command-line flag when it starts with --."""
     lines = [ln for ln in MICRO.splitlines() if ln.partition("=")[0].strip() != key]
+    flag = [key, str(value)] if key.startswith("--") else []
+    if not flag:
+        lines.append(f"{key} = {value}")
     path = tmp_path / "bad.cfg"
-    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
-    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o"), *flag])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{key.split('.')[-1]} must be" in err
+    assert "config error" in err and f"{key.lstrip('-').split('.')[-1]} must be" in err
     assert not (tmp_path / "o").exists()

@@ -12,7 +12,6 @@ from afferent.env import (
     gen_features,
     optimal_action,
     reset,
-    scenario_config,
     step,
     task_reward,
 )
@@ -22,15 +21,12 @@ QUIET = replace(SCENARIOS["normal"], noise_sd=0.0)
 
 
 def state_at(t, age=20.0, seed=0):
-    return EnvState(t=t, x=np.zeros(3), damage=0.0, age=age,
-                    years_worked=age - 20.0, rng_seed=seed)
+    return EnvState(t=t, x=np.zeros(3), damage=0.0, age=age, rng_seed=seed)
 
 
 def test_scenario_lookup():
-    assert scenario_config("normal").instability == 0.05
-    assert scenario_config("acl_deficient").shear_mult == 1.5
-    with pytest.raises(ConfigError):
-        scenario_config("bionic")
+    assert SCENARIOS["normal"].instability == 0.05
+    assert SCENARIOS["acl_deficient"].shear_mult == 1.5
 
 
 def test_scenario_validation():
@@ -118,7 +114,6 @@ def test_task_reward_and_optimum():
 def test_reset_state_and_validation():
     s = reset(QUIET, 40.0, seed=3)
     assert s.t == 0 and s.damage == 0.0
-    assert s.years_worked == pytest.approx(20.0)
     assert s.x.shape == (3,)
     with pytest.raises(ValidationError):
         reset(QUIET, 10.0, seed=3)

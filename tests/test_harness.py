@@ -1,5 +1,8 @@
 """End-to-end checks of the harness operations at very small budgets."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -170,3 +173,33 @@ def test_ablation_output_does_not_depend_on_jobs(tmp_path):
         run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
         trees.append(_tree_bytes(out))
     assert trees[0] and trees[0] == trees[1]
+
+
+def test_reports_agree_with_episode_rows(tmp_path):
+    cfg = micro_cfg(tmp_path / "ablate", seeds=(0, 1), eval_episodes=2)
+    run_ablation(cfg, genome=handcrafted_genome(8, 3))
+    out = tmp_path / "ablate"
+    with open(out / "curves" / "ablation_normal.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    aggregate = json.loads((out / "reports" / "ablation.json").read_text())
+    assert len(csv_rows) == 5 * 2
+    for row in csv_rows:
+        episodes = read_jsonl(out / "runs" / (
+            f"ablation_{row['variant']}_age60_seed{row['seed']}.jsonl"))
+        assert len(episodes) == 2
+        assert float(row["d_total"]) == float(np.mean([ep["d_total"] for ep in episodes]))
+        # the other columns pool the cell's steps; its episodes are equally long
+        for key in ("action_mean", "safe_fraction", "cat_mean"):
+            values = [ep[key] for ep in episodes if key in ep]
+            assert (row[key] == "") == (not values)
+            if values:
+                assert float(row[key]) == pytest.approx(np.mean(values), rel=1e-12)
+        entry, = [e for e in aggregate["variants"][row["variant"]]["d_total"]
+                  if e["seed"] == int(row["seed"])]
+        assert entry["d_total"] == float(row["d_total"])
+
+    report = train(micro_cfg(tmp_path / "train"))
+    episodes = read_jsonl(tmp_path / "train" / "runs" / "train_normal_age60_seed0.jsonl")
+    row = {k: v for k, v in episodes[0].items() if k != "episode"}
+    assert set(report["eval"]) == set(row)
+    assert report["eval"] == row  # one eval episode: the cell's means are its own

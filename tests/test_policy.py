@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from afferent.errors import ValidationError
+from afferent.nets import Adam
 from afferent.policy import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -198,6 +199,6 @@ def test_ppo_update_changes_params_and_reports_stats():
     obs, z, logp, adv, returns = _tiny_batch(policy, 16, seed=9)
     traj = {"obs": obs, "z": z, "logp": logp, "adv": adv, "returns": returns}
     before = policy.get_flat()
-    stats = ppo_update(policy, traj, cfg, rng_for(10))
+    stats = ppo_update(policy, traj, cfg, rng_for(10), Adam(policy.n_params, cfg.lr))
     assert not np.array_equal(policy.get_flat(), before)
     assert set(stats) >= {"loss", "policy_loss", "value_loss", "entropy", "clip_fraction"}

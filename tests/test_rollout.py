@@ -44,7 +44,7 @@ def test_collect_shapes_and_episode_boundaries():
     runner = Runner(make_setup(episode_len=5), make_policy(), seed=0)
     batch = runner.collect(12)
     assert set(batch) == {"obs", "z", "logp", "rewards", "dones", "cats",
-                          "delta_ds", "actions"}
+                          "delta_ds", "actions", "tasks", "damage", "recalls"}
     assert batch["obs"].shape == (12, obs_dim("base", K, M))
     assert list(np.nonzero(batch["dones"])[0]) == [4, 9]
     assert np.all((batch["actions"] > 0) & (batch["actions"] < 1))
@@ -112,7 +112,6 @@ def test_evaluate_policy_stats():
     for s in stats:
         assert s.actions.shape == (25,)
         assert s.cats is not None and s.recalls is None
-        assert s.action_mean == pytest.approx(float(s.actions.mean()))
         assert s.d_total >= 0.0
     again = evaluate_policy(make_setup(episode_len=25), policy,
                             eval_seeds=(701, 702), eval_episodes=2)
@@ -127,6 +126,32 @@ def test_evaluate_policy_epi_reports_recalls():
     assert stats[0].recalls is not None
     assert stats[0].recalls.shape == (20,)
     assert np.any(stats[0].recalls != 0.0)
+
+
+def test_evaluate_policy_episodes_are_frozen_runner_rows():
+    memory = MemoryStore()
+    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
+    policy = make_policy(mode="epi")
+    Runner(setup, policy, seed=1).collect(40)  # fill the store, then freeze it
+    assert len(memory) > 0
+    seeds, episodes, L = (701, 702), 2, setup.episode_len
+    stats = evaluate_policy(setup, policy, seeds, episodes)
+    assert len(stats) == len(seeds) * episodes
+    for i, seed in enumerate(seeds):
+        rows = Runner(setup, policy, seed, capture=False).collect(episodes * L)
+        for j in range(episodes):
+            ep = stats[i * episodes + j]
+            part = {key: col[j * L:(j + 1) * L] for key, col in rows.items()}
+            assert np.array_equal(ep.actions, part["actions"])
+            assert np.array_equal(ep.cats, part["cats"])
+            assert np.array_equal(ep.recalls, part["recalls"])
+            assert ep.d_total == part["damage"][-1]
+            assert ep.d_total == np.cumsum(part["delta_ds"])[-1]
+            assert ep.task_mean == part["tasks"].mean()
+        # the second episode continues the seed's runner, not a fresh one
+        assert not np.array_equal(stats[i * episodes].actions,
+                                  stats[i * episodes + 1].actions)
+    assert len(memory.pending) == 0
 
 
 def test_calibrate_predictive_frozen_seed():
