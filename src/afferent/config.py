@@ -115,10 +115,16 @@ class ExperimentConfig:
         for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),
                             ("eval.seeds", self.eval_seeds),
                             ("predictive.seed", (self.pred_seed,)),
-                            ("ppo.total_steps", (self.ppo.total_steps,))):
+                            ("ppo.total_steps", (self.ppo.total_steps,)),
+                            ("predictive.lambda_env", (self.pred_lambda_env,)),
+                            ("predictive.lambda_pred", (self.pred_lambda_pred,)),
+                            ("memory.eps_d", (self.memory_eps_d,)),
+                            ("memory.kappa_cat", (self.memory_kappa_cat,))):
             if any(v < 0 for v in values):
                 raise ConfigError(f"{key} must be >= 0")
-        for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa)):
+        for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa),
+                           ("probe.radius", self.probe_radius),
+                           ("probe.sd", self.probe_sd)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive")
         if not 0.0 <= self.sim_action <= 1.0:

@@ -45,6 +45,9 @@ class FitnessSpec:
             raise ValidationError("top_fraction must lie in (0, 1]")
         if self.eval_episodes < 1:
             raise ValidationError("eval_episodes must be >= 1")
+        for name in ("rl_steps_short", "rl_steps_long"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if not self.eval_seeds:
             raise ValidationError("eval_seeds must be nonempty")
         if any(s < 0 for s in self.eval_seeds):

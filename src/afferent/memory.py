@@ -8,11 +8,14 @@ partial sum).  Retrieval is exact linear-scan kNN under cosine distance, and
 recall risk is the inverse-distance-weighted mean of retrieved future-damage
 values.
 
-The query path reads preallocated arrays, never per-call stacks.  The store's
-finalized keys are the rows of one (capacity x key_dim) matrix, oldest first,
-row i belonging to ``episodes[i]``; ``insert`` is its only writer and shifts
-the rows up by one on eviction, so retrieval is one matrix-vector product on
-the first len(store) rows and the stable sort still breaks ties by age.  The
+The query path reads preallocated arrays, never per-call stacks.  The store
+holds its finalized episodes as row-aligned columns of capacity rows, oldest
+first: the (capacity x key_dim) ``keys`` matrix and the ``delta`` (summed
+future damage) and ``cat_hist`` (mean CAT of the capture window) vectors, row
+i of each belonging to the same episode.  ``insert`` is their only writer and
+shifts every column up by one row on eviction, so retrieval is one
+matrix-vector product on the first len(store) rows, the stable sort still
+breaks ties by age, and recall reads ``delta`` at the retrieved rows.  The
 rolling window keeps its x, activation and CAT rows in fixed arrays in
 chronological order, with one spare row for a query's current step, and keys
 are summarized from views of those rows.  The rows hold the same bytes in the
@@ -30,7 +33,6 @@ from .errors import ValidationError
 
 __all__ = [
     "StepRecord",
-    "Episode",
     "MemoryStore",
     "RecallResult",
     "encode_key",
@@ -67,21 +69,11 @@ class StepRecord:
     activations: np.ndarray
     cat: float
     delta_d: float
-    t: int
-
-
-@dataclass
-class Episode:
-    key: np.ndarray
-    delta: float
-    t_event: int
-    cat_hist: float  # pre-normalization mean CAT of the capture window
 
 
 @dataclass
 class _Pending:
     key: np.ndarray
-    t_event: int
     cat_hist: float
     delta_sum: float
     steps_left: int
@@ -142,41 +134,46 @@ class _Window:
 class MemoryStore:
     """Capacity-bounded FIFO episode store owned by a single rollout worker.
 
-    ``keys[:len(store)]`` holds the finalized episodes' keys in ``episodes``
-    order; the matrix is allocated by the first insert, which fixes key_dim.
+    Rows [0, n) of ``keys``, ``delta`` and ``cat_hist`` are the finalized
+    episodes, oldest first; the key matrix is allocated by the first insert,
+    which fixes key_dim.
     """
 
     def __init__(self, capacity: int = CAPACITY):
         if capacity <= 0:
             raise ValidationError("capacity must be positive")
         self.capacity = int(capacity)
-        self.episodes: list[Episode] = []
+        self.n = 0
         self.keys: np.ndarray | None = None
+        self.delta = np.empty(self.capacity)
+        self.cat_hist = np.empty(self.capacity)
         self.pending: list[_Pending] = []
         self.window = _Window()
 
     def __len__(self) -> int:
-        return len(self.episodes)
+        return self.n
 
     def observe(self, x, activations, cat) -> None:
         """Push one step into the rolling context window without capture logic."""
         self.window.push(x, activations, cat)
 
-    def insert(self, ep: Episode) -> None:
-        key = np.asarray(ep.key, dtype=float)
+    def insert(self, key, delta: float, cat_hist: float) -> None:
+        """Append one finalized episode, evicting the oldest when full."""
+        key = np.asarray(key, dtype=float)
         if self.keys is None:
             self.keys = np.empty((self.capacity, key.size))
         if key.shape != self.keys.shape[1:]:
             raise ValidationError(
                 f"key shape {key.shape} does not match the store's key_dim "
                 f"{self.keys.shape[1]}")
-        n = len(self.episodes)
-        if n == self.capacity:
-            self.keys[:-1] = self.keys[1:]
-            self.episodes.pop(0)
-            n -= 1
-        self.keys[n] = key
-        self.episodes.append(ep)
+        if self.n == self.capacity:
+            for col in (self.keys, self.delta, self.cat_hist):
+                col[:-1] = col[1:]
+            self.n -= 1
+        self.keys[self.n] = key
+        self.delta[self.n] = delta
+        self.cat_hist[self.n] = cat_hist
+        self.n += 1
 
     def query(self, x, activations, cat, k_ret: int = K_RET) -> RecallResult:
         """Recall risk for the current context before it is recorded.
@@ -185,16 +182,16 @@ class MemoryStore:
         current (x, activations, cat) triple; with fewer than two points the
         result is the empty-memory (0, 0).
         """
-        if not self.window or not self.episodes:
+        if not self.window or not self.n:
             return RecallResult(0.0, 0.0)
         key = _summarize(*self.window.with_current(x, activations, cat))
-        return recall_risk(retrieve(self, key, k_ret))
+        idx, dist = retrieve(self, key, k_ret)
+        return recall_risk(self.delta[idx], dist)
 
     def end_episode(self) -> None:
         """Finalize pendings with their partial sums and clear the window."""
         for p in self.pending:
-            self.insert(Episode(key=p.key, delta=p.delta_sum,
-                                t_event=p.t_event, cat_hist=p.cat_hist))
+            self.insert(p.key, p.delta_sum, p.cat_hist)
         self.pending = []
         self.window.clear()
 
@@ -245,8 +242,7 @@ def maybe_capture(
         p.delta_sum += record.delta_d
         p.steps_left -= 1
         if p.steps_left <= 0:
-            store.insert(Episode(key=p.key, delta=p.delta_sum,
-                                 t_event=p.t_event, cat_hist=p.cat_hist))
+            store.insert(p.key, p.delta_sum, p.cat_hist)
         else:
             still_open.append(p)
     store.pending = still_open
@@ -257,21 +253,17 @@ def maybe_capture(
     xs, acts, cats = store.window.rows()
     key = _summarize(xs, acts, cats)
     cat_hist = float(np.mean(cats))
-    store.pending.append(
-        _Pending(
-            key=key, t_event=record.t, cat_hist=cat_hist,
-            delta_sum=record.delta_d, steps_left=HORIZON - 1,
-        )
-    )
+    store.pending.append(_Pending(key=key, cat_hist=cat_hist,
+                                  delta_sum=record.delta_d, steps_left=HORIZON - 1))
     return True
 
 
 def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
-    """The k_ret finalized episodes nearest in cosine distance, ties by age."""
+    """(rows, distances) of the k_ret episodes nearest in cosine distance, ties by age."""
     key = np.asarray(key, dtype=float)
-    n = len(store.episodes)
+    n = len(store)
     if not n:
-        return []
+        return np.empty(0, dtype=int), np.empty(0)
     dist = 1.0 - store.keys[:n] @ key
     # Only distances up to the k-th smallest can be kept; a stable sort of
     # those, taken in index order, breaks ties by age as a full sort does.
@@ -279,17 +271,16 @@ def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
     kth = np.partition(dist, k - 1)[k - 1]
     cand = np.flatnonzero(dist <= kth)
     order = cand[np.argsort(dist[cand], kind="stable")][:k]
-    return [(store.episodes[i], float(dist[i])) for i in order]
+    return order, dist[order]
 
 
-def recall_risk(retrieved) -> RecallResult:
+def recall_risk(deltas, dist) -> RecallResult:
     """Inverse-distance-weighted mean of retrieved future-damage values."""
-    if not retrieved:
+    d = np.asarray(dist, dtype=float)
+    if not d.size:
         return RecallResult(0.0, 0.0)
-    d = np.array([dist for _, dist in retrieved], dtype=float)
     if np.any(d < 0):
         raise ValidationError("negative retrieval distance")
-    deltas = np.array([ep.delta for ep, _ in retrieved], dtype=float)
     w = 1.0 / (d + EPS_WEIGHT)
     w = w / w.sum()
     return RecallResult(float(w @ deltas), float(d.mean()))
@@ -301,7 +292,7 @@ def apply_memory_bias(cat_mech: float, store: MemoryStore) -> float:
     Requires at least 3 finalized episodes; otherwise the mechanical CAT
     passes through unchanged.
     """
-    hist = [ep.cat_hist for ep in store.episodes]
-    if len(hist) < 3:
+    n = len(store)
+    if n < 3:
         return cat_mech
-    return 0.7 * cat_mech + 0.3 * float(np.mean(hist))
+    return 0.7 * cat_mech + 0.3 * float(np.mean(store.cat_hist[:n]))

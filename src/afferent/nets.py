@@ -1,15 +1,18 @@
 """Minimal MLP with hand-written backpropagation and an Adam optimizer.
 
-Networks are small (two hidden tanh layers by default) and parameters live in
-per-layer arrays exposed as one flat vector, which keeps optimizer state and
-finite-difference checks simple.
+Networks are small (two hidden tanh layers by default).  An MLP owns no
+parameters: it wraps a flat vector its caller owns, and each layer's weight
+matrix and bias are reshaped views into that vector in the order W0
+(row-major), b0, W1, b1, ...  Backward writes the gradient into the same
+layout, and Adam updates the vector in place, so optimizer state and
+finite-difference checks work on the one array the forward pass reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TrainingError, ValidationError
 
 __all__ = ["MLP", "Adam", "clip_grad"]
 
@@ -23,43 +26,41 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
     return gain * q[:rows, :cols]
 
 
+def _layers(sizes, flat: np.ndarray):
+    """(weights, biases): per-layer views into flat, W0 row-major, b0, W1, ..."""
+    weights, biases = [], []
+    i = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[i : i + fan_in * fan_out].reshape(fan_in, fan_out))
+        i += fan_in * fan_out
+        biases.append(flat[i : i + fan_out])
+        i += fan_out
+    return weights, biases
+
+
 class MLP:
     """Fully connected net, tanh hidden activations, linear output."""
 
-    def __init__(self, sizes, rng: np.random.Generator, out_gain: float = 1.0):
+    def __init__(self, sizes, params: np.ndarray):
         if len(sizes) < 2:
             raise ValidationError("MLP needs at least input and output sizes")
-        self.sizes = list(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        for i in range(len(self.sizes) - 1):
-            fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
-            gain = out_gain if i == len(self.sizes) - 2 else np.sqrt(2.0)
-            self.weights.append(_orthogonal(rng, fan_in, fan_out, gain))
-            self.biases.append(np.zeros(fan_out))
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
+        self.sizes = [int(s) for s in sizes]
+        self.n_params = self.count(self.sizes)
+        if params.shape != (self.n_params,):
             raise ValidationError("parameter vector length mismatch")
-        i = 0
-        for li in range(len(self.weights)):
-            w, b = self.weights[li], self.biases[li]
-            self.weights[li] = flat[i : i + w.size].reshape(w.shape).copy()
-            i += w.size
-            self.biases[li] = flat[i : i + b.size].copy()
-            i += b.size
+        self.weights, self.biases = _layers(self.sizes, params)
+
+    @staticmethod
+    def count(sizes) -> int:
+        """Number of parameters of an MLP with these layer sizes."""
+        return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+
+    def init(self, rng: np.random.Generator, out_gain: float) -> None:
+        """Orthogonal weights (gain sqrt 2, out_gain on the last layer), zero biases."""
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            w[...] = _orthogonal(rng, *w.shape, out_gain if i == last else np.sqrt(2.0))
+            b[...] = 0.0
 
     def forward(self, X: np.ndarray):
         """Forward pass; returns (output, cache for backward).
@@ -77,28 +78,20 @@ class MLP:
             hs.append(h)
         return hs[-1], hs
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient of sum(grad_out * output) w.r.t. the flat parameters."""
-        grad_out = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = grad_out
+    def backward(self, cache, grad_out: np.ndarray, out: np.ndarray) -> None:
+        """Write the gradient of sum(grad_out * output) into the flat vector out."""
+        grads_w, grads_b = _layers(self.sizes, out)
+        delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = cache[i]
-            grads_w[i] = h_in.T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            grads_w[i][...] = cache[i].T @ delta
+            grads_b[i][...] = delta.sum(axis=0)
             if i > 0:
                 # cache[i] holds tanh(z) for hidden layers, so 1 - h^2 is tanh'
                 delta = (delta @ self.weights[i].T) * (1.0 - cache[i] ** 2)
-        parts = []
-        for gw, gb in zip(grads_w, grads_b):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        return np.concatenate(parts)
 
 
 class Adam:
-    """Adam on a flat parameter vector."""
+    """Adam on a flat parameter vector, updated in place."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -110,15 +103,15 @@ class Adam:
         self.v = np.zeros(n)
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if not np.all(np.isfinite(grad)):
-            raise ValidationError("non-finite gradient")
+            raise TrainingError("non-finite gradient")
         self.t += 1
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:

@@ -3,7 +3,9 @@
 The policy is a tanh-squashed Gaussian over a single work-intensity action in
 [0, 1], with a small MLP actor (pre-squash mean, state-independent log-std)
 and MLP critic.  Updates use the clipped surrogate objective with GAE, all
-gradients written out by hand against the nets module.
+gradients written out by hand against the nets module.  All parameters live
+in one vector theta = [actor | log_std | critic]: the actor and critic are
+views into it, the gradient has its layout, and Adam updates it in place.
 """
 
 from __future__ import annotations
@@ -128,30 +130,31 @@ def shaped_reward(task: float, cat: float, delta_d: float, y_hat: float,
     return task - p.lambda_cat * cat - p.lambda_d * delta_d - p.lambda_mem * y_hat
 
 
-@dataclass
 class PolicyParams:
-    """Actor-critic parameter bundle with one flat view for the optimizer."""
+    """Actor-critic over theta = [actor | log_std | critic], both nets of ``sizes``."""
 
-    actor: MLP
-    critic: MLP
-    log_std: float
-    mode: str
-    obs_dim: int
+    def __init__(self, theta: np.ndarray, sizes, mode: str):
+        n = MLP.count(sizes)
+        self.theta = theta
+        self.mode = mode
+        self.n_params = theta.size
+        self.obs_dim = int(sizes[0])
+        # the critic's length check also rejects a theta of the wrong size
+        self.actor = MLP(sizes, theta[:n])
+        self.critic = MLP(sizes, theta[n + 1:])
+
+    def __reduce__(self):
+        # Pool workers return policies by pickle; rebuild the nets as views of
+        # theta there, since pickling them would copy every layer apart from it.
+        return PolicyParams, (self.theta, self.actor.sizes, self.mode)
 
     @property
-    def n_params(self) -> int:
-        return self.actor.n_params + 1 + self.critic.n_params
+    def log_std(self) -> float:
+        return float(self.theta[self.actor.n_params])
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.actor.get_params(), [self.log_std],
-                               self.critic.get_params()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        na = self.actor.n_params
-        self.actor.set_params(flat[:na])
-        self.log_std = float(np.clip(flat[na], LOG_STD_MIN, LOG_STD_MAX))
-        self.critic.set_params(flat[na + 1:])
+    @log_std.setter
+    def log_std(self, value: float) -> None:
+        self.theta[self.actor.n_params] = value
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
         out, _ = self.actor.forward(obs)
@@ -166,9 +169,11 @@ def init_policy(dim: int, rng: np.random.Generator, mode: str = "base",
                 hidden=(64, 64)) -> PolicyParams:
     """Fresh actor-critic; the actor output layer starts near zero."""
     sizes = [dim, *hidden, 1]
-    actor = MLP(sizes, rng, out_gain=0.01)
-    critic = MLP(sizes, rng, out_gain=1.0)
-    return PolicyParams(actor=actor, critic=critic, log_std=-0.5, mode=mode, obs_dim=dim)
+    policy = PolicyParams(np.empty(2 * MLP.count(sizes) + 1), sizes, mode)
+    policy.actor.init(rng, out_gain=0.01)
+    policy.critic.init(rng, out_gain=1.0)
+    policy.log_std = -0.5
+    return policy
 
 
 def _squash_log_jacobian(z: np.ndarray) -> np.ndarray:
@@ -275,13 +280,14 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
     zs = (z - mu) / std
     dl_dmu = dl_dlogp * (zs / std)
     dl_dlogstd_policy = float(np.sum(dl_dlogp * (zs**2 - 1.0)))
-    actor_grad = policy.actor.backward(actor_cache, dl_dmu[:, None])
+    na = policy.actor.n_params
+    grad = np.empty(policy.n_params)
+    policy.actor.backward(actor_cache, dl_dmu[:, None], grad[:na])
 
     dl_dv = cfg.value_coef * 2.0 * (v - returns) / n
-    critic_grad = policy.critic.backward(critic_cache, dl_dv[:, None])
+    policy.critic.backward(critic_cache, dl_dv[:, None], grad[na + 1:])
 
-    dl_dlogstd = dl_dlogstd_policy - cfg.entropy_coef
-    grad = np.concatenate([actor_grad, [dl_dlogstd], critic_grad])
+    grad[na] = dl_dlogstd_policy - cfg.entropy_coef
 
     clip_fraction = float(np.mean((ratio < 1.0 - cfg.clip) | (ratio > 1.0 + cfg.clip)))
     stats = {
@@ -309,7 +315,8 @@ def ppo_update(policy: PolicyParams, traj: dict, cfg: PPOConfig,
                 traj["adv"][idx], traj["returns"][idx], cfg,
             )
             grad = clip_grad(grad, cfg.max_grad_norm)
-            policy.set_flat(optimizer.step(policy.get_flat(), grad))
+            optimizer.step(policy.theta, grad)
+            policy.log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
             for k_, v_ in stats.items():
                 agg[k_] = agg.get(k_, 0.0) + v_
             count += 1

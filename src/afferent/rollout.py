@@ -103,6 +103,8 @@ class Runner:
 
     Training captures memory episodes and seeds its episodes from stream 3;
     a frozen (capture=False) evaluation stream only observes, from stream 5.
+    Every episode starts with an empty memory window, so a frozen stream
+    never summarizes steps that an earlier runner left in the window.
     """
 
     def __init__(self, setup: AgentSetup, policy: PolicyParams, seed: int,
@@ -120,6 +122,8 @@ class Runner:
         env_seed = int(rng_for(self.seed, stream, self.episode_idx).integers(0, 2**62))
         self.state = twin.reset(self.setup.scenario, self.setup.age, env_seed)
         reset_state(self.setup.array)
+        if self.setup.memory is not None:
+            self.setup.memory.window.clear()
         self.prev = None  # (x, action, t) of the last step, for the predictive model
         self._compute_current()
 
@@ -160,7 +164,7 @@ class Runner:
         if s.memory is not None:
             if self.capture:
                 maybe_capture(s.memory, StepRecord(
-                    x=x, activations=acts, cat=cat, delta_d=res.delta_d, t=t_act,
+                    x=x, activations=acts, cat=cat, delta_d=res.delta_d,
                 ), s.eps_d, s.kappa_cat)
             else:
                 s.memory.observe(x, acts, cat)
@@ -168,11 +172,8 @@ class Runner:
         row = (self.obs, z, logp, reward, float(res.done), cat, res.delta_d, action,
                res.task_reward, self.state.damage, y_hat)
         if res.done:
-            if s.memory is not None:
-                if self.capture:
-                    s.memory.end_episode()
-                else:
-                    s.memory.window.clear()
+            if self.capture and s.memory is not None:
+                s.memory.end_episode()
             self.episode_idx += 1
             self._begin_episode()
         else:

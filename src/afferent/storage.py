@@ -17,10 +17,8 @@ from jsonschema import Draft202012Validator
 
 from .afferents import Genome
 from .errors import ValidationError
-from .nets import MLP
 from .policy import PolicyParams
 from .predictive import DiscrepancyParams, SafeStateModel
-from .util import rng_for
 
 __all__ = [
     "ROLLOUT_SCHEMA",
@@ -127,12 +125,13 @@ def load_genome(path):
 
 
 def save_policy(path, policy: PolicyParams) -> None:
+    na = policy.actor.n_params
     _savez(
         path,
         actor_sizes=np.array(policy.actor.sizes),
-        actor_params=policy.actor.get_params(),
+        actor_params=policy.theta[:na],
         critic_sizes=np.array(policy.critic.sizes),
-        critic_params=policy.critic.get_params(),
+        critic_params=policy.theta[na + 1:],
         log_std=np.array(policy.log_std),
         mode=np.array(policy.mode),
         obs_dim=np.array(policy.obs_dim),
@@ -141,17 +140,12 @@ def save_policy(path, policy: PolicyParams) -> None:
 
 def load_policy(path) -> PolicyParams:
     with np.load(path, allow_pickle=False) as data:
-        actor = MLP([int(s) for s in data["actor_sizes"]], rng_for(0))
-        actor.set_params(np.array(data["actor_params"], dtype=float))
-        critic = MLP([int(s) for s in data["critic_sizes"]], rng_for(0))
-        critic.set_params(np.array(data["critic_params"], dtype=float))
-        return PolicyParams(
-            actor=actor,
-            critic=critic,
-            log_std=float(data["log_std"]),
-            mode=_meta_str(data["mode"]),
-            obs_dim=int(data["obs_dim"]),
-        )
+        sizes = [int(s) for s in data["actor_sizes"]]
+        if [int(s) for s in data["critic_sizes"]] != sizes:
+            raise ValidationError("critic sizes do not match actor sizes")
+        theta = np.concatenate([data["actor_params"], [data["log_std"]],
+                                data["critic_params"]], dtype=float)
+        return PolicyParams(theta, sizes, _meta_str(data["mode"]))
 
 
 def save_safe_model(path, model: SafeStateModel, disc: DiscrepancyParams) -> None:

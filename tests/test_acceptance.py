@@ -27,7 +27,7 @@ from afferent.config import ExperimentConfig
 from afferent.env import SCENARIOS
 from afferent.evolution import FitnessSpec, run_evolution
 from afferent.harness import fitness_setup, run_ablation, simulate
-from afferent.memory import Episode, MemoryStore, recall_risk, retrieve
+from afferent.memory import MemoryStore, recall_risk, retrieve
 from afferent.nets import Adam
 from afferent.policy import (
     PPOConfig,
@@ -139,23 +139,22 @@ def test_retrieval_against_brute_force():
         deltas = rng.uniform(0.0, 0.01, size)
         store = MemoryStore(capacity=1000)
         for j in range(size):
-            store.insert(Episode(key=keys[j], delta=float(deltas[j]),
-                                 t_event=j, cat_hist=0.0))
+            store.insert(keys[j], float(deltas[j]), 0.0)
         q = rng.normal(size=dim)
         q /= np.linalg.norm(q)
 
-        got = retrieve(store, q, k_ret=5)
+        idx, dist = retrieve(store, q, k_ret=5)
 
         # brute force with plain Python arithmetic, stable sort on index
         dists = [1.0 - sum(float(keys[j, d]) * float(q[d]) for d in range(dim))
                  for j in range(size)]
         order = sorted(range(size), key=lambda j: dists[j])[:5]
-        assert [ep.t_event for ep, _ in got] == order
+        assert list(idx) == order
 
         weights = [1.0 / (dists[j] + 1e-6) for j in order]
         y_hand = (sum(w * float(deltas[j]) for w, j in zip(weights, order))
                   / sum(weights))
-        assert abs(recall_risk(got).y_hat - y_hand) <= 1e-10
+        assert abs(recall_risk(store.delta[idx], dist).y_hat - y_hand) <= 1e-10
     assert time.perf_counter() - start < 30.0
 
 
@@ -204,12 +203,12 @@ def test_ppo_gradients_and_bandit():
         _, logp_old[i], z[i] = sample_action_z(policy, obs[i], rng)
     adv = rng.normal(size=n)
     returns = rng.normal(size=n)
-    theta0 = policy.get_flat() + rng_for(7).normal(0.0, 1e-3, policy.n_params)
-    policy.set_flat(theta0)
+    theta0 = policy.theta + rng_for(7).normal(0.0, 1e-3, policy.n_params)
+    policy.theta[:] = theta0
     _, grad, _ = ppo_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
 
     def loss_at(theta):
-        policy.set_flat(theta)
+        policy.theta[:] = theta
         value, _, _ = ppo_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
         return value
 

@@ -123,6 +123,9 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("predictive.seed", -1), ("--seed", -1), ("evolution.generations", 0),
     ("ppo.lr", -1), ("ppo.total_steps", -5), ("--steps", -5), ("dt", -1),
     ("predictive.kappa", 0), ("sim.action", 2), ("sim.age", 10),
+    ("probe.radius", 0), ("probe.sd", 0), ("predictive.lambda_env", -1),
+    ("predictive.lambda_pred", -1), ("memory.eps_d", -1), ("memory.kappa_cat", -5),
+    ("evolution.rl_steps_short", -3), ("evolution.rl_steps_long", -3),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""

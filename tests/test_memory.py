@@ -6,7 +6,6 @@ from afferent.memory import (
     EPS_WEIGHT,
     HORIZON,
     PRE_WINDOW,
-    Episode,
     MemoryStore,
     StepRecord,
     apply_memory_bias,
@@ -17,14 +16,14 @@ from afferent.memory import (
 )
 
 
-def rec(x, acts, cat, delta_d, t):
+def rec(x, acts, cat, delta_d):
     return StepRecord(x=np.asarray(x, float), activations=np.asarray(acts, float),
-                      cat=cat, delta_d=delta_d, t=t)
+                      cat=cat, delta_d=delta_d)
 
 
-def episode(key, delta, cat_hist=0.0, t_event=0):
-    return Episode(key=np.asarray(key, float), delta=delta, t_event=t_event,
-                   cat_hist=cat_hist)
+def recall(store, key, k_ret):
+    idx, dist = retrieve(store, key, k_ret)
+    return recall_risk(store.delta[idx], dist)
 
 
 def test_encode_key_layout_oracle():
@@ -51,40 +50,42 @@ def test_encode_key_zero_fallback_and_validation():
 def test_store_capacity_fifo():
     store = MemoryStore(capacity=3)
     for i in range(5):
-        store.insert(episode([1.0, 0.0], delta=float(i)))
+        store.insert([1.0, 0.0], float(i), 0.0)
     assert len(store) == 3
-    assert [ep.delta for ep in store.episodes] == [2.0, 3.0, 4.0]
+    assert list(store.delta[:len(store)]) == [2.0, 3.0, 4.0]
     with pytest.raises(ValidationError):
         MemoryStore(capacity=0)
 
 
 def test_capture_trigger_and_horizon_sum():
     store = MemoryStore()
-    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0, t=0))
-    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0, t=1))
+    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
     # damage trigger; the event step is the first term of the horizon sum
-    assert maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3, t=2))
+    assert maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
     assert len(store.pending) == 1 and len(store) == 0
     for j in range(HORIZON - 1):
-        opened = maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4, t=3 + j))
+        opened = maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
         assert not opened
     assert len(store.pending) == 0 and len(store) == 1
-    ep = store.episodes[0]
-    assert ep.t_event == 2
-    assert ep.delta == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
+    assert store.delta[0] == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
+    # the key and CAT summarize the window up to the event step
+    win = [([0.1, 0.1], [0.0, 0.0], 0.0)] * 2 + [([0.8, 0.8], [0.5, 0.5], 0.1)]
+    assert np.allclose(store.keys[0], encode_key(win, 3), atol=1e-12)
+    assert store.cat_hist[0] == pytest.approx(0.1 / 3, abs=1e-15)
 
 
 def test_capture_cat_trigger_and_window_guard():
     store = MemoryStore()
     # high CAT alone cannot capture before the window has two steps
-    assert not maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0, t=0))
-    assert maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0, t=1))
+    assert not maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
 
 
 def test_capture_key_matches_window_summary():
     store = MemoryStore()
-    maybe_capture(store, rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0, t=0))
-    maybe_capture(store, rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4, t=1))
+    maybe_capture(store, rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
+    maybe_capture(store, rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
     win = [([0.1, 0.2], [0.0, 0.1], 0.05), ([0.7, 0.6], [0.4, 0.5], 0.45)]
     p = store.pending[0]
     assert np.allclose(p.key, encode_key(win, 2), atol=1e-12)
@@ -94,41 +95,46 @@ def test_capture_key_matches_window_summary():
 
 def test_end_episode_finalizes_partial_sums():
     store = MemoryStore()
-    maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0, t=0))
-    maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3, t=1))
-    maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5, t=2))
+    maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
+    maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
     store.end_episode()
     assert len(store.pending) == 0 and len(store.window) == 0
     assert len(store) == 1
-    assert store.episodes[0].delta == pytest.approx(1e-3 + 2e-5, abs=1e-15)
+    assert store.delta[0] == pytest.approx(1e-3 + 2e-5, abs=1e-15)
 
 
 def test_retrieve_matches_cosine_order():
     store = MemoryStore()
-    store.insert(episode([0.0, 1.0, 0.0], delta=1.0))
-    store.insert(episode([1.0, 0.0, 0.0], delta=2.0))
-    store.insert(episode([0.6, 0.8, 0.0], delta=3.0))
-    out = retrieve(store, np.array([1.0, 0.0, 0.0]), k_ret=2)
-    assert [ep.delta for ep, _ in out] == [2.0, 3.0]
-    assert out[0][1] == pytest.approx(0.0, abs=1e-12)
-    assert out[1][1] == pytest.approx(0.4, abs=1e-12)
-    assert retrieve(MemoryStore(), np.array([1.0, 0.0, 0.0])) == []
+    store.insert([0.0, 1.0, 0.0], 1.0, 0.0)
+    store.insert([1.0, 0.0, 0.0], 2.0, 0.0)
+    store.insert([0.6, 0.8, 0.0], 3.0, 0.0)
+    idx, dist = retrieve(store, np.array([1.0, 0.0, 0.0]), k_ret=2)
+    assert list(idx) == [1, 2] and list(store.delta[idx]) == [2.0, 3.0]
+    assert dist == pytest.approx([0.0, 0.4], abs=1e-12)
+    idx, dist = retrieve(MemoryStore(), np.array([1.0, 0.0, 0.0]))
+    assert idx.size == dist.size == 0
 
 
 def test_retrieve_ties_break_by_insertion_order():
     store = MemoryStore()
-    store.insert(episode([1.0, 0.0], delta=1.0))
-    store.insert(episode([1.0, 0.0], delta=2.0))
-    out = retrieve(store, np.array([1.0, 0.0]), k_ret=2)
-    assert [ep.delta for ep, _ in out] == [1.0, 2.0]
+    store.insert([1.0, 0.0], 1.0, 0.0)
+    store.insert([1.0, 0.0], 2.0, 0.0)
+    idx, _ = retrieve(store, np.array([1.0, 0.0]), k_ret=2)
+    assert list(store.delta[idx]) == [1.0, 2.0]
 
 
-def _stacked_retrieve(store, key, k_ret):
-    """retrieve recomputed from a fresh stack of the episodes' own keys."""
-    keys = np.stack([ep.key for ep in store.episodes])
-    dist = 1.0 - keys @ key
+def _stacked_retrieve(keys, deltas, key, k_ret):
+    """(delta, distance) pairs recomputed from a fresh stack of the inserted keys."""
+    dist = 1.0 - np.stack(keys) @ key
     order = np.argsort(dist, kind="stable")[:k_ret]
-    return [(store.episodes[i].t_event, float(dist[i])) for i in order]
+    return [(deltas[i], float(dist[i])) for i in order]
+
+
+def _retrieved(store, key, k_ret):
+    """retrieve as (delta, distance) pairs; each test's deltas identify its rows."""
+    idx, dist = retrieve(store, key, k_ret)
+    return [(float(store.delta[i]), float(d)) for i, d in zip(idx, dist)]
 
 
 def test_retrieve_matches_full_stable_sort_with_ties_across_k():
@@ -137,12 +143,13 @@ def test_retrieve_matches_full_stable_sort_with_ties_across_k():
     rng = np.random.default_rng(5)
     basis = np.eye(4)[:3]
     store = MemoryStore(capacity=64)
-    for i in range(40):
-        store.insert(episode(basis[rng.integers(3)], delta=float(i), t_event=i))
+    keys = [basis[rng.integers(3)] for _ in range(40)]
+    for i, k in enumerate(keys):
+        store.insert(k, float(i), 0.0)
+    deltas = [float(i) for i in range(40)]
     for key in (*basis, np.full(4, 0.5)):
         for k_ret in (1, 2, 5, 13, 14, 39, 40, 41):
-            got = [(ep.t_event, d) for ep, d in retrieve(store, key, k_ret)]
-            assert got == _stacked_retrieve(store, key, k_ret)
+            assert _retrieved(store, key, k_ret) == _stacked_retrieve(keys, deltas, key, k_ret)
 
 
 def test_key_matrix_matches_stacked_keys_through_evictions():
@@ -152,21 +159,26 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
     picks = [0, 1, 2, 0, 3, 0, 4, 1, 5, 2, 0, 1, 3, 0, 4, 0, 5, 1, 0, 2]
     queries = np.vstack([pool, rng.normal(size=(3, 7))])
     store = MemoryStore(capacity=8)
+    oracle = []  # (key, delta, cat_hist) per live episode, oldest first
     for t, j in enumerate(picks):
-        store.insert(episode(pool[j], delta=float(t), t_event=t))
-        assert len(store) == min(t + 1, 8)
-        assert np.array_equal(store.keys[:len(store)],
-                              np.stack([ep.key for ep in store.episodes]))
+        row = (pool[j], float(t), 0.1 * j + 0.01 * t)
+        store.insert(*row)
+        oracle = (oracle + [row])[-8:]
+        n = len(store)
+        assert n == min(t + 1, 8) == len(oracle)
+        keys, deltas, cat_hists = (list(col) for col in zip(*oracle))
+        assert np.array_equal(store.keys[:n], np.stack(keys))
+        assert store.delta[:n].tolist() == deltas
+        assert store.cat_hist[:n].tolist() == cat_hists
         for q in queries:
-            got = [(ep.t_event, d) for ep, d in retrieve(store, q, k_ret=5)]
-            assert got == _stacked_retrieve(store, q, 5)
-    assert [ep.t_event for ep in store.episodes] == list(range(12, 20))
-    # pool[0] sits at t = 13, 15, 18: exact duplicates tie, oldest first
-    got = retrieve(store, pool[0], k_ret=3)
-    assert [ep.t_event for ep, _ in got] == [13, 15, 18]
-    assert got[0][1] == got[1][1] == got[2][1]
+            assert _retrieved(store, q, 5) == _stacked_retrieve(keys, deltas, q, 5)
+    assert store.delta.tolist() == list(range(12, 20))
+    # pool[0] was inserted at t = 13, 15, 18: exact duplicates tie, oldest first
+    idx, dist = retrieve(store, pool[0], k_ret=3)
+    assert list(idx) == [1, 3, 6] and list(store.delta[idx]) == [13.0, 15.0, 18.0]
+    assert dist[0] == dist[1] == dist[2]
     with pytest.raises(ValidationError):
-        store.insert(episode(pool[0][:3], delta=0.0))
+        store.insert(pool[0][:3], 0.0, 0.0)
 
 
 def test_query_after_end_episode_uses_only_new_steps():
@@ -174,14 +186,14 @@ def test_query_after_end_episode_uses_only_new_steps():
     store = MemoryStore()
     for t in range(10):
         k = rng.normal(size=7)
-        store.insert(episode(k / np.linalg.norm(k), delta=float(t), t_event=t))
+        store.insert(k / np.linalg.norm(k), float(t), 0.0)
     steps = [(rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
              for _ in range(PRE_WINDOW + 3)]
     for s in steps:
         store.observe(*s)
     cur = (rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
     win = steps[-(PRE_WINDOW - 1):] + [cur]
-    want = recall_risk(retrieve(store, encode_key(win, len(win)), 5))
+    want = recall(store, encode_key(win, len(win)), 5)
     assert store.query(*cur) == want
     assert len(store.window) == PRE_WINDOW  # the query step is not recorded
 
@@ -190,14 +202,12 @@ def test_query_after_end_episode_uses_only_new_steps():
     res = store.query(*cur)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
     store.observe(*steps[0])
-    want = recall_risk(retrieve(store, encode_key([steps[0], cur], 2), 5))
+    want = recall(store, encode_key([steps[0], cur], 2), 5)
     assert store.query(*cur) == want
 
 
 def test_recall_risk_oracle():
-    retrieved = [(episode([1.0, 0.0], delta=1.0), 0.1),
-                 (episode([1.0, 0.0], delta=3.0), 0.3)]
-    res = recall_risk(retrieved)
+    res = recall_risk(np.array([1.0, 3.0]), np.array([0.1, 0.3]))
     assert res.y_hat == pytest.approx(1.5000024999875001, abs=1e-15)
     assert res.d_mean == pytest.approx(0.2, abs=1e-15)
     w = np.array([1.0 / (0.1 + EPS_WEIGHT), 1.0 / (0.3 + EPS_WEIGHT)])
@@ -205,10 +215,10 @@ def test_recall_risk_oracle():
 
 
 def test_recall_risk_edge_cases():
-    empty = recall_risk([])
+    empty = recall_risk(np.empty(0), np.empty(0))
     assert empty.y_hat == 0.0 and empty.d_mean == 0.0
     with pytest.raises(ValidationError):
-        recall_risk([(episode([1.0, 0.0], delta=1.0), -0.1)])
+        recall_risk(np.array([1.0]), np.array([-0.1]))
 
 
 def test_query_composes_encode_retrieve_recall():
@@ -216,13 +226,13 @@ def test_query_composes_encode_retrieve_recall():
     rng = np.random.default_rng(7)
     for _ in range(6):
         k = rng.normal(size=7)
-        store.insert(episode(k / np.linalg.norm(k), delta=float(rng.uniform(0, 2))))
+        store.insert(k / np.linalg.norm(k), float(rng.uniform(0, 2)), 0.0)
     store.observe([0.3, 0.4], [0.2, 0.1], 0.15)
     store.observe([0.5, 0.6], [0.3, 0.2], 0.25)
     got = store.query([0.7, 0.8], [0.4, 0.3], 0.35, 3)
     win = [([0.3, 0.4], [0.2, 0.1], 0.15), ([0.5, 0.6], [0.3, 0.2], 0.25),
            ([0.7, 0.8], [0.4, 0.3], 0.35)]
-    want = recall_risk(retrieve(store, encode_key(win, 3), 3))
+    want = recall(store, encode_key(win, 3), 3)
     assert got.y_hat == pytest.approx(want.y_hat, abs=1e-15)
     assert got.d_mean == pytest.approx(want.d_mean, abs=1e-15)
 
@@ -231,7 +241,7 @@ def test_query_empty_paths():
     store = MemoryStore()
     res = store.query([0.1, 0.1], [0.0, 0.0], 0.0)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
-    store.insert(episode([1.0] + [0.0] * 6, delta=1.0))
+    store.insert([1.0] + [0.0] * 6, 1.0, 0.0)
     # a single query point cannot form a 2-step window
     res2 = store.query([0.1, 0.1], [0.0, 0.0], 0.0)
     assert res2.y_hat == 0.0 and res2.d_mean == 0.0
@@ -241,8 +251,8 @@ def test_memory_bias_blend_and_guards():
     store = MemoryStore()
     assert apply_memory_bias(0.5, store) == 0.5
     for cat_hist in (0.2, 0.4):
-        store.insert(episode([1.0, 0.0], delta=0.1, cat_hist=cat_hist))
+        store.insert([1.0, 0.0], 0.1, cat_hist)
     assert apply_memory_bias(0.5, store) == 0.5  # fewer than 3 episodes
-    store.insert(episode([1.0, 0.0], delta=0.1, cat_hist=0.6))
+    store.insert([1.0, 0.0], 0.1, 0.6)
     got = apply_memory_bias(0.5, store)
     assert got == pytest.approx(0.7 * 0.5 + 0.3 * 0.4, abs=1e-12)

@@ -1,35 +1,44 @@
 import numpy as np
 import pytest
 
-from afferent.errors import ValidationError
+from afferent.errors import TrainingError, ValidationError
 from afferent.nets import MLP, Adam, clip_grad
 from afferent.util import rng_for
 
 
+def make_mlp(sizes, rng, out_gain=1.0):
+    net = MLP(sizes, np.empty(MLP.count(sizes)))
+    net.init(rng, out_gain)
+    return net
+
+
 def test_mlp_shapes_and_param_count():
-    net = MLP([3, 5, 2], rng_for(0))
-    assert net.n_params == 3 * 5 + 5 + 5 * 2 + 2
+    net = make_mlp([3, 5, 2], rng_for(0))
+    assert net.n_params == MLP.count([3, 5, 2]) == 3 * 5 + 5 + 5 * 2 + 2
     out, cache = net.forward(np.zeros((4, 3)))
     assert out.shape == (4, 2)
     assert len(cache) == 3
     with pytest.raises(ValidationError):
-        MLP([3], rng_for(0))
+        MLP([3], np.empty(0))
 
 
-def test_mlp_param_round_trip():
-    net = MLP([2, 4, 1], rng_for(1))
-    flat = net.get_params()
-    net2 = MLP([2, 4, 1], rng_for(2))
-    net2.set_params(flat)
-    assert np.array_equal(net2.get_params(), flat)
-    X = rng_for(3).normal(size=(6, 2))
-    assert np.allclose(net.forward(X)[0], net2.forward(X)[0], atol=1e-14)
+def test_mlp_layers_are_views_of_the_flat_vector():
+    flat = rng_for(1).normal(size=MLP.count([2, 4, 1]))
+    net = MLP([2, 4, 1], flat)
+    # W0 row-major, b0, W1, b1
+    assert np.array_equal(net.weights[0].ravel(), flat[:8])
+    assert np.array_equal(net.biases[0], flat[8:12])
+    assert np.array_equal(net.weights[1].ravel(), flat[12:16])
+    assert np.array_equal(net.biases[1], flat[16:])
+    assert all(np.shares_memory(a, flat) for a in (*net.weights, *net.biases))
+    flat[5] = 7.0
+    assert net.weights[0][1, 1] == 7.0
     with pytest.raises(ValidationError):
-        net.set_params(flat[:-1])
+        MLP([2, 4, 1], flat[:-1])
 
 
 def test_mlp_forward_matches_manual():
-    net = MLP([2, 3, 1], rng_for(4))
+    net = make_mlp([2, 3, 1], rng_for(4))
     x = np.array([0.3, -0.7])
     h = np.tanh(x @ net.weights[0] + net.biases[0])
     want = h @ net.weights[1] + net.biases[1]
@@ -38,27 +47,31 @@ def test_mlp_forward_matches_manual():
 
 
 def test_init_is_orthogonal_and_deterministic():
-    net = MLP([6, 6, 2], rng_for(5))
+    flat, flat_b = np.empty(MLP.count([6, 6, 2])), np.empty(MLP.count([6, 6, 2]))
+    net = MLP([6, 6, 2], flat)
+    net.init(rng_for(5), 1.0)
     w = net.weights[0]
     assert np.allclose(w.T @ w / 2.0, np.eye(6), atol=1e-10)  # gain sqrt(2)
-    net_b = MLP([6, 6, 2], rng_for(5))
-    assert np.array_equal(net.get_params(), net_b.get_params())
+    assert np.all(net.biases[0] == 0.0) and np.all(net.biases[1] == 0.0)
+    MLP([6, 6, 2], flat_b).init(rng_for(5), 1.0)
+    assert np.array_equal(flat, flat_b)
 
 
 def test_backward_matches_finite_differences():
-    net = MLP([3, 4, 4, 2], rng_for(6))
+    sizes = [3, 4, 4, 2]
+    net = make_mlp(sizes, rng_for(6))
     X = rng_for(7).normal(size=(5, 3))
     G = rng_for(8).normal(size=(5, 2))
 
     def scalar(theta):
-        net.set_params(theta)
-        out, _ = net.forward(X)
+        out, _ = MLP(sizes, theta).forward(X)
         return float((G * out).sum())
 
-    theta0 = net.get_params()
-    net.set_params(theta0)
+    theta0 = np.concatenate([a.ravel() for wb in zip(net.weights, net.biases)
+                             for a in wb])
     _, cache = net.forward(X)
-    grad = net.backward(cache, G)
+    grad = np.full(net.n_params, np.nan)
+    net.backward(cache, G, grad)
     eps = 1e-6
     fd = np.empty_like(theta0)
     for i in range(theta0.size):
@@ -67,7 +80,6 @@ def test_backward_matches_finite_differences():
         dn = theta0.copy()
         dn[i] -= eps
         fd[i] = (scalar(up) - scalar(dn)) / (2.0 * eps)
-    net.set_params(theta0)
     denom = np.maximum(np.abs(fd), 1e-8)
     assert np.max(np.abs(grad - fd) / denom) < 1e-5
 
@@ -77,10 +89,34 @@ def test_adam_first_step_and_nonfinite_guard():
     params = np.zeros(3)
     grad = np.array([1.0, -2.0, 0.5])
     # bias correction makes the first update lr * sign(grad) up to eps
-    new = opt.step(params, grad)
-    assert np.allclose(new, -0.1 * np.sign(grad), atol=1e-7)
-    with pytest.raises(ValidationError):
-        opt.step(new, np.array([1.0, np.nan, 0.0]))
+    opt.step(params, grad)
+    assert np.allclose(params, -0.1 * np.sign(grad), atol=1e-7)
+    before = (params.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+    # a non-finite gradient is a training failure and leaves every buffer as it was
+    with pytest.raises(TrainingError):
+        opt.step(params, np.array([1.0, np.nan, 0.0]))
+    assert np.array_equal(params, before[0])
+    assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+    assert opt.t == before[3]
+
+
+def test_adam_in_place_matches_returned_vector_bits():
+    # Oracle: the update written as a new vector, params - lr * m_hat / (...)
+    rng = rng_for(12)
+    n = 257
+    params = rng.normal(size=n)
+    want = params.copy()
+    opt = Adam(n, lr=3e-4)
+    m, v = np.zeros(n), np.zeros(n)
+    for t in range(1, 51):
+        grad = rng.normal(size=n) * (10.0 ** rng.uniform(-6, 1))
+        opt.step(params, grad)
+        m = Adam.beta1 * m + (1.0 - Adam.beta1) * grad
+        v = Adam.beta2 * v + (1.0 - Adam.beta2) * grad**2
+        m_hat = m / (1.0 - Adam.beta1**t)
+        v_hat = v / (1.0 - Adam.beta2**t)
+        want = want - 3e-4 * m_hat / (np.sqrt(v_hat) + Adam.eps)
+        assert np.array_equal(params, want)
 
 
 def test_adam_converges_on_quadratic():
@@ -88,7 +124,7 @@ def test_adam_converges_on_quadratic():
     theta = np.array([3.0, -2.0])
     target = np.array([1.0, 1.0])
     for _ in range(2000):
-        theta = opt.step(theta, 2.0 * (theta - target))
+        opt.step(theta, 2.0 * (theta - target))
     assert np.allclose(theta, target, atol=1e-3)
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,20 +70,51 @@ def test_ppo_config_validation():
         PPOConfig(gae_lambda=1.5)
 
 
-def test_policy_flat_round_trip_and_log_std_clip():
-    policy = init_policy(4, rng_for(0), hidden=(8,))
-    flat = policy.get_flat()
-    assert flat.shape == (policy.n_params,)
-    policy.set_flat(flat)
-    assert np.array_equal(policy.get_flat(), flat)
+def _traj(policy, n, seed):
+    return dict(zip(("obs", "z", "logp", "adv", "returns"), _tiny_batch(policy, n, seed)))
+
+
+def test_policy_nets_are_views_of_theta():
+    policy = init_policy(3, rng_for(0), hidden=(8,))
     na = policy.actor.n_params
-    hot = flat.copy()
-    hot[na] = 99.0
-    policy.set_flat(hot)
-    assert policy.log_std == LOG_STD_MAX
-    hot[na] = -99.0
-    policy.set_flat(hot)
-    assert policy.log_std == LOG_STD_MIN
+    assert na == 3 * 8 + 8 + 8 + 1 and policy.theta.shape == (2 * na + 1,)
+    assert policy.n_params == policy.theta.size and policy.obs_dim == 3
+    for net in (policy.actor, policy.critic):
+        assert all(np.shares_memory(a, policy.theta) for a in (*net.weights, *net.biases))
+    cfg = PPOConfig(hidden=(8,), epochs=1, minibatch=8)
+    traj = _traj(policy, 16, seed=3)
+    ppo_update(policy, traj, cfg, rng_for(4), Adam(policy.n_params, cfg.lr))
+
+    def manual(flat, X):
+        # W0 row-major, b0, W1, b1
+        h = np.tanh(X @ flat[:24].reshape(3, 8) + flat[24:32])
+        return (h @ flat[32:40].reshape(8, 1) + flat[40:41])[:, 0]
+
+    obs = traj["obs"]
+    assert np.array_equal(policy.mean(obs), manual(policy.theta[:na], obs))
+    assert np.array_equal(policy.value(obs), manual(policy.theta[na + 1:], obs))
+    assert policy.log_std == policy.theta[na]
+
+
+def test_pickled_policy_keeps_its_nets_as_views_of_theta():
+    policy = init_policy(3, rng_for(1), mode="epi", hidden=(8,))
+    policy.log_std = -1.5
+    back = pickle.loads(pickle.dumps(policy))
+    assert np.array_equal(back.theta, policy.theta) and back.mode == "epi"
+    for net in (back.actor, back.critic):
+        assert all(np.shares_memory(a, back.theta) for a in (*net.weights, *net.biases))
+    back.theta[:] = 0.0
+    assert np.all(back.mean(np.ones((2, 3))) == 0.0) and back.log_std == 0.0
+
+
+def test_ppo_update_clips_log_std_slot():
+    for hot, want in ((99.0, LOG_STD_MAX), (-99.0, LOG_STD_MIN)):
+        policy = init_policy(2, rng_for(8), hidden=(4,))
+        cfg = PPOConfig(hidden=(4,), epochs=1, minibatch=8)  # one Adam step
+        traj = _traj(policy, 8, seed=9)
+        policy.log_std = hot
+        ppo_update(policy, traj, cfg, rng_for(10), Adam(policy.n_params, cfg.lr))
+        assert policy.log_std == want == policy.theta[policy.actor.n_params]
 
 
 def test_sample_action_range_and_determinism():
@@ -169,12 +202,12 @@ def test_ppo_gradient_matches_finite_differences():
     policy = init_policy(2, rng_for(5), hidden=(3,))
     cfg = PPOConfig(hidden=(3,))
     obs, z, logp_old, adv, returns = _tiny_batch(policy, 8, seed=6)
-    theta0 = policy.get_flat() + rng_for(7).normal(0.0, 1e-3, policy.n_params)
-    policy.set_flat(theta0)
+    theta0 = policy.theta + rng_for(7).normal(0.0, 1e-3, policy.n_params)
+    policy.theta[:] = theta0
     _, grad, stats = ppo_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
 
     def loss_at(theta):
-        policy.set_flat(theta)
+        policy.theta[:] = theta
         val, _, _ = ppo_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
         return val
 
@@ -196,9 +229,8 @@ def test_ppo_gradient_matches_finite_differences():
 def test_ppo_update_changes_params_and_reports_stats():
     policy = init_policy(2, rng_for(8), hidden=(4,))
     cfg = PPOConfig(hidden=(4,), epochs=2, minibatch=4)
-    obs, z, logp, adv, returns = _tiny_batch(policy, 16, seed=9)
-    traj = {"obs": obs, "z": z, "logp": logp, "adv": adv, "returns": returns}
-    before = policy.get_flat()
+    traj = _traj(policy, 16, seed=9)
+    before = policy.theta.copy()
     stats = ppo_update(policy, traj, cfg, rng_for(10), Adam(policy.n_params, cfg.lr))
-    assert not np.array_equal(policy.get_flat(), before)
+    assert not np.array_equal(policy.theta, before)
     assert set(stats) >= {"loss", "policy_loss", "value_loss", "entropy", "clip_fraction"}

@@ -94,7 +94,7 @@ def test_rl_train_history_and_determinism():
                             "clip_fraction", "loss"}
     res2 = rl_train(make_setup(), cfg, seed=3)
     assert res.history == res2.history
-    assert np.array_equal(res.policy.get_flat(), res2.policy.get_flat())
+    assert np.array_equal(res.policy.theta, res2.policy.theta)
 
 
 def test_rl_train_zero_steps():
@@ -152,6 +152,24 @@ def test_evaluate_policy_episodes_are_frozen_runner_rows():
         assert not np.array_equal(stats[i * episodes].actions,
                                   stats[i * episodes + 1].actions)
     assert len(memory.pending) == 0
+
+
+def test_frozen_evaluation_starts_with_a_clean_window():
+    # 300 steps over 64-step episodes end training mid-episode, leaving rows
+    # in the memory window; the first evaluation episode must not see them
+    memory = MemoryStore()
+    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=64)
+    cfg = PPOConfig(total_steps=300, rollout_len=128, epochs=1, minibatch=64,
+                    hidden=(8,))
+    policy = rl_train(setup, cfg, seed=4).policy
+    assert len(memory.window) > 0 and len(memory) > 0
+    got = evaluate_policy(setup, policy, (701, 702), 1)
+    memory.window.clear()
+    want = evaluate_policy(setup, policy, (701, 702), 1)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.recalls, w.recalls)
+        assert np.array_equal(g.actions, w.actions)
+        assert (g.task_mean, g.d_total) == (w.task_mean, w.d_total)
 
 
 def test_calibrate_predictive_frozen_seed():

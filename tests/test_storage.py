@@ -106,10 +106,23 @@ def test_policy_round_trip(tmp_path):
     loaded = load_policy(path)
     assert loaded.mode == "epi" and loaded.obs_dim == 5
     assert loaded.log_std == -1.25
-    assert np.array_equal(loaded.get_flat(), policy.get_flat())
+    assert np.array_equal(loaded.theta, policy.theta)
     obs = rng_for(4).uniform(0, 1, (6, 5))
     assert np.array_equal(loaded.mean(obs), policy.mean(obs))
     assert np.array_equal(loaded.value(obs), policy.value(obs))
+
+
+def test_load_policy_rejects_mismatched_parts(tmp_path):
+    policy = init_policy(5, rng_for(3), mode="epi", hidden=(8, 4))
+    save_policy(tmp_path / "p.bin", policy)
+    with np.load(tmp_path / "p.bin") as data:
+        arrays = dict(data)
+    for key, value in (("actor_params", arrays["actor_params"][:-1]),
+                       ("critic_sizes", np.array([5, 8, 1]))):
+        with open(tmp_path / "bad.bin", "wb") as fh:
+            np.savez(fh, **dict(arrays, **{key: value}))
+        with pytest.raises(ValidationError):
+            load_policy(tmp_path / "bad.bin")
 
 
 def test_safe_model_round_trip(tmp_path):
