@@ -15,6 +15,7 @@ from pathlib import Path
 from .env import SCENARIOS
 from .errors import ConfigError, ValidationError
 from .evolution import FitnessSpec
+from .memory import CAPACITY, EPS_D, K_RET, KAPPA_CAT
 from .policy import OBS_MODES, PPOConfig, RewardParams
 
 __all__ = [
@@ -61,10 +62,10 @@ class ExperimentConfig:
     memory_bias: bool = False
     genome: str = ""
     policy: str = ""
-    memory_capacity: int = _key("memory.capacity", 512)
-    memory_k_ret: int = _key("memory.k_ret", 5)
-    memory_eps_d: float = _key("memory.eps_d", 2e-4)
-    memory_kappa_cat: float = _key("memory.kappa_cat", 0.4)
+    memory_capacity: int = _key("memory.capacity", CAPACITY)
+    memory_k_ret: int = _key("memory.k_ret", K_RET)
+    memory_eps_d: float = _key("memory.eps_d", EPS_D)
+    memory_kappa_cat: float = _key("memory.kappa_cat", KAPPA_CAT)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     reward: RewardParams = field(default_factory=RewardParams)
     fitness: FitnessSpec = field(default_factory=FitnessSpec,
@@ -122,6 +123,8 @@ class ExperimentConfig:
                             ("memory.kappa_cat", (self.memory_kappa_cat,))):
             if any(v < 0 for v in values):
                 raise ConfigError(f"{key} must be >= 0")
+        if not self.pred_lambda_env + self.pred_lambda_pred > 0:
+            raise ConfigError("predictive.lambda_env + predictive.lambda_pred must be positive")
         for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa),
                            ("probe.radius", self.probe_radius),
                            ("probe.sd", self.probe_sd)):

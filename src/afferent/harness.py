@@ -132,15 +132,14 @@ def evolve_genome(cfg: ExperimentConfig):
 def _build_setup(cfg: ExperimentConfig, plan: VariantPlan, genome: Genome,
                  age: float, model, disc) -> AgentSetup:
     array = decode_genome(genome, cfg.dt)
-    memory = MemoryStore(capacity=cfg.memory_capacity) if plan.use_memory else None
+    memory = (MemoryStore(cfg.memory_capacity, cfg.memory_k_ret, cfg.memory_eps_d,
+                          cfg.memory_kappa_cat) if plan.use_memory else None)
     return AgentSetup(
         scenario=twin.SCENARIOS[cfg.scenario], age=float(age), array=array,
         reward=plan.reward, mode=plan.mode, memory=memory,
         safe_model=model if plan.use_predictive else None,
         disc=disc if plan.use_predictive else None,
         memory_bias=cfg.memory_bias, episode_len=cfg.episode_len,
-        eps_d=cfg.memory_eps_d, kappa_cat=cfg.memory_kappa_cat,
-        k_ret=cfg.memory_k_ret,
     )
 
 

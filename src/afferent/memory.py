@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "StepRecord",
     "MemoryStore",
     "RecallResult",
     "encode_key",
@@ -59,16 +58,6 @@ KAPPA_CAT = 0.4
 CAPACITY = 512
 K_RET = 5
 EPS_WEIGHT = 1e-6
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step tuple consumed by the capture logic."""
-
-    x: np.ndarray
-    activations: np.ndarray
-    cat: float
-    delta_d: float
 
 
 @dataclass
@@ -136,13 +125,19 @@ class MemoryStore:
 
     Rows [0, n) of ``keys``, ``delta`` and ``cat_hist`` are the finalized
     episodes, oldest first; the key matrix is allocated by the first insert,
-    which fixes key_dim.
+    which fixes key_dim.  The store also holds its policy: queries retrieve
+    k_ret episodes, and a step triggers a capture when its damage increment
+    exceeds eps_d or its CAT exceeds kappa_cat.
     """
 
-    def __init__(self, capacity: int = CAPACITY):
+    def __init__(self, capacity: int = CAPACITY, k_ret: int = K_RET,
+                 eps_d: float = EPS_D, kappa_cat: float = KAPPA_CAT):
         if capacity <= 0:
             raise ValidationError("capacity must be positive")
         self.capacity = int(capacity)
+        self.k_ret = k_ret
+        self.eps_d = eps_d
+        self.kappa_cat = kappa_cat
         self.n = 0
         self.keys: np.ndarray | None = None
         self.delta = np.empty(self.capacity)
@@ -175,7 +170,7 @@ class MemoryStore:
         self.cat_hist[self.n] = cat_hist
         self.n += 1
 
-    def query(self, x, activations, cat, k_ret: int = K_RET) -> RecallResult:
+    def query(self, x, activations, cat) -> RecallResult:
         """Recall risk for the current context before it is recorded.
 
         The query key summarizes the last PRE_WINDOW−1 recorded steps plus the
@@ -185,7 +180,7 @@ class MemoryStore:
         if not self.window or not self.n:
             return RecallResult(0.0, 0.0)
         key = _summarize(*self.window.with_current(x, activations, cat))
-        idx, dist = retrieve(self, key, k_ret)
+        idx, dist = retrieve(self, key, self.k_ret)
         return recall_risk(self.delta[idx], dist)
 
     def end_episode(self) -> None:
@@ -224,22 +219,18 @@ def _summarize(xs: np.ndarray, acts: np.ndarray, cats: np.ndarray) -> np.ndarray
     return raw / norm
 
 
-def maybe_capture(
-    store: MemoryStore,
-    record: StepRecord,
-    eps_d: float = EPS_D,
-    kappa_cat: float = KAPPA_CAT,
-) -> bool:
+def maybe_capture(store: MemoryStore, x, activations, cat: float, delta_d: float) -> bool:
     """Record one step, advance pending horizons, and open a capture on trigger.
 
     The current step's damage increment counts toward every open horizon,
     including one opened at this step (the event step is term j=0 of the sum).
-    Returns whether a new capture was opened.
+    The trigger thresholds are the store's.  Returns whether a new capture
+    was opened.
     """
-    store.observe(record.x, record.activations, record.cat)
+    store.observe(x, activations, cat)
     still_open = []
     for p in store.pending:
-        p.delta_sum += record.delta_d
+        p.delta_sum += delta_d
         p.steps_left -= 1
         if p.steps_left <= 0:
             store.insert(p.key, p.delta_sum, p.cat_hist)
@@ -247,14 +238,14 @@ def maybe_capture(
             still_open.append(p)
     store.pending = still_open
 
-    triggered = record.delta_d > eps_d or record.cat > kappa_cat
+    triggered = delta_d > store.eps_d or cat > store.kappa_cat
     if not triggered or len(store.window) < 2:
         return False
     xs, acts, cats = store.window.rows()
     key = _summarize(xs, acts, cats)
     cat_hist = float(np.mean(cats))
     store.pending.append(_Pending(key=key, cat_hist=cat_hist,
-                                  delta_sum=record.delta_d, steps_left=HORIZON - 1))
+                                  delta_sum=delta_d, steps_left=HORIZON - 1))
     return True
 
 

@@ -69,6 +69,8 @@ class DiscrepancyParams:
             raise ValidationError("delta0 must be nonnegative")
         if self.lambda_env < 0 or self.lambda_pred < 0:
             raise ValidationError("combination weights must be nonnegative")
+        if not self.lambda_env + self.lambda_pred > 0:
+            raise ValidationError("lambda_env + lambda_pred must be positive")
 
 
 def fit_safe_model(rollouts) -> SafeStateModel:
@@ -119,7 +121,4 @@ def pred_signal(delta: float, p: DiscrepancyParams) -> float:
 
 def combine_cat(c_env: float, c_pred: float, p: DiscrepancyParams) -> float:
     """Convex blend of envelope and predictive components."""
-    total = p.lambda_env + p.lambda_pred
-    if total <= 0:
-        raise ConfigError("lambda_env + lambda_pred must be positive")
-    return (p.lambda_env * c_env + p.lambda_pred * c_pred) / total
+    return (p.lambda_env * c_env + p.lambda_pred * c_pred) / (p.lambda_env + p.lambda_pred)

@@ -14,15 +14,7 @@ import numpy as np
 
 from . import env as twin
 from .afferents import AfferentArray, compute_cat, reset_state
-from .memory import (
-    EPS_D,
-    K_RET,
-    KAPPA_CAT,
-    MemoryStore,
-    StepRecord,
-    apply_memory_bias,
-    maybe_capture,
-)
+from .memory import MemoryStore, apply_memory_bias, maybe_capture
 from .nets import Adam
 from .policy import (
     PolicyParams,
@@ -78,9 +70,6 @@ class AgentSetup:
     disc: DiscrepancyParams | None = None
     memory_bias: bool = False
     episode_len: int = twin.EPISODE_LEN
-    eps_d: float = EPS_D
-    kappa_cat: float = KAPPA_CAT
-    k_ret: int = K_RET
 
 
 # One row per step, in this order; collect turns the rows into one array per
@@ -148,7 +137,7 @@ class Runner:
                 cat = apply_memory_bias(cat, s.memory)
         y_hat = d_mean = 0.0
         if s.mode == "epi" and s.memory is not None:
-            rr = s.memory.query(x, acts, cat, s.k_ret)
+            rr = s.memory.query(x, acts, cat)
             y_hat, d_mean = rr.y_hat, rr.d_mean
         self.cur = (x, acts, cat, y_hat)
         self.obs = build_observation(x, acts, cat, y_hat, d_mean, s.mode, age=s.age)
@@ -163,9 +152,7 @@ class Runner:
         reward = shaped_reward(res.task_reward, cat, res.delta_d, y_hat, s.reward)
         if s.memory is not None:
             if self.capture:
-                maybe_capture(s.memory, StepRecord(
-                    x=x, activations=acts, cat=cat, delta_d=res.delta_d,
-                ), s.eps_d, s.kappa_cat)
+                maybe_capture(s.memory, x, acts, cat, res.delta_d)
             else:
                 s.memory.observe(x, acts, cat)
         self.prev = (x, action, t_act)

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from afferent.afferents import (
-    AfferentUnitParams,
+    AfferentArray,
     Genome,
     compute_cat,
     decode_genome,
     handcrafted_genome,
     reset_state,
-    step_unit,
 )
 from afferent.cli import main
 from afferent.cmaes import ask, init_evolution, tell
@@ -76,29 +75,33 @@ sim.repeats = 1
 @pytest.mark.criterion("01 unit decay law and fixed point")
 def test_unit_decay_and_fixed_point():
     start = time.perf_counter()
-    basis = np.array([1.0, 0.0, 0.0])
+
+    def one_unit(alpha, theta, a0):
+        # with v = [1] the CAT is the unit's activation itself
+        return AfferentArray(W=[[1.0, 0.0, 0.0]], alpha=[alpha], theta=[theta],
+                             tau=[4.0], v=[1.0], dt=1.0, state=[a0])
 
     # Zero drive: theta=1 with steep gain makes the innovation exactly 0, so
     # the activation must follow a(t) = (1-beta)^t a(0) to 1e-9.
-    quiet = AfferentUnitParams(w=basis, alpha=800.0, theta=1.0, tau=4.0)
+    quiet = one_unit(800.0, 1.0, 0.9)
     beta = 1.0 / (4.0 + 1.0)
-    a = 0.9
     for t in range(1, 51):
-        a = step_unit(quiet, a, 0.0, 1.0)
+        a, _ = compute_cat(quiet, np.zeros(3))
         assert abs(a - (1.0 - beta) ** t * 0.9) <= 1e-9
 
     # Constant drive: the map contracts toward sigma(alpha (s - theta)) with
     # per-step ratio exactly (1 - beta).
-    driven = AfferentUnitParams(w=basis, alpha=4.0, theta=0.3, tau=4.0)
+    driven = one_unit(4.0, 0.3, 0.0)
+    x = np.array([0.7, 0.0, 0.0])
     a_star = sigmoid(4.0 * (0.7 - 0.3))
     a = 0.0
     for _ in range(30):
-        nxt = step_unit(driven, a, 0.7, 1.0)
+        nxt, _ = compute_cat(driven, x)
         ratio = (nxt - a_star) / (a - a_star)
         assert abs(ratio - (1.0 - beta)) <= 1e-6
         a = nxt
     for _ in range(370):
-        a = step_unit(driven, a, 0.7, 1.0)
+        a, _ = compute_cat(driven, x)
     assert abs(a - a_star) <= 1e-12
     assert time.perf_counter() - start < 1.0
 

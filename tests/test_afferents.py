@@ -1,47 +1,48 @@
+import math
+
 import numpy as np
 import pytest
 
 from afferent.afferents import (
     AfferentArray,
-    AfferentUnitParams,
     Genome,
     compute_cat,
     decode_genome,
     encode_genome,
     handcrafted_genome,
     reset_state,
-    step_unit,
 )
 from afferent.errors import ConfigError, ValidationError
-from afferent.util import rng_for, sigmoid
+from afferent.util import rng_for, softplus
 
 
 def random_genome(m, k, seed=0, scale=0.8):
     return Genome(raw=rng_for(seed, 90).normal(0.0, scale, m * (k + 4)), m=m, k=k)
 
 
-def test_unit_params_validation():
-    w = np.array([1.0, 0.0])
-    AfferentUnitParams(w=w, alpha=1.0, theta=0.5, tau=2.0)
-    with pytest.raises(ValidationError):
-        AfferentUnitParams(w=np.array([1.0, 1.0]), alpha=1.0, theta=0.5, tau=2.0)
-    with pytest.raises(ValidationError):
-        AfferentUnitParams(w=w, alpha=0.0, theta=0.5, tau=2.0)
-    with pytest.raises(ValidationError):
-        AfferentUnitParams(w=w, alpha=1.0, theta=1.5, tau=2.0)
-    with pytest.raises(ValidationError):
-        AfferentUnitParams(w=w, alpha=1.0, theta=0.5, tau=0.0)
-
-
 def test_array_validation():
-    unit = AfferentUnitParams(w=np.array([1.0, 0.0]), alpha=1.0, theta=0.5, tau=2.0)
-    AfferentArray(units=[unit, unit], v=np.array([0.5, 0.5]), dt=1.0)
-    with pytest.raises(ValidationError):
-        AfferentArray(units=[unit, unit], v=np.array([0.7, 0.7]), dt=1.0)
-    with pytest.raises(ValidationError):
-        AfferentArray(units=[unit], v=np.array([0.5, 0.5]), dt=1.0)
-    with pytest.raises(ValidationError):
-        AfferentArray(units=[unit, unit], v=np.array([0.5, 0.5]), dt=0.0)
+    good = dict(W=np.eye(2), alpha=np.ones(2), theta=np.full(2, 0.5),
+                tau=np.full(2, 2.0), v=np.full(2, 0.5), dt=1.0)
+    arr = AfferentArray(**good)
+    assert arr.m == 2 and arr.k == 2
+    assert np.array_equal(arr.state, np.zeros(2))
+    assert np.array_equal(arr.beta, np.full(2, 1.0 / 3.0))
+    for field, bad in (
+        ("W", np.array([[1.0, 1.0], [0.0, 1.0]])),  # a row off unit norm
+        ("W", np.ones(2)),  # not a matrix
+        ("alpha", np.array([1.0, 0.0])),
+        ("tau", np.array([2.0, 0.0])),
+        ("theta", np.array([0.5, 1.5])),
+        ("theta", np.array([-0.1, 0.5])),
+        ("v", np.array([0.7, 0.7])),  # not summing to 1
+        ("v", np.array([1.5, -0.5])),  # negative
+        ("dt", 0.0),
+        ("alpha", np.ones(3)),  # lengths disagree
+        ("v", np.array([1.0])),
+        ("state", np.zeros(3)),
+    ):
+        with pytest.raises(ValidationError):
+            AfferentArray(**{**good, field: bad})
 
 
 def test_genome_length_checked():
@@ -54,12 +55,49 @@ def test_genome_length_checked():
 def test_decode_constraints():
     arr = decode_genome(random_genome(6, 4, seed=1), dt=1.0)
     assert arr.m == 6 and arr.k == 4
-    for u in arr.units:
-        assert np.linalg.norm(u.w) == pytest.approx(1.0, abs=1e-9)
-        assert u.alpha > 0 and u.tau > 0
-        assert 0.0 <= u.theta <= 1.0
+    for i in range(arr.m):
+        assert np.linalg.norm(arr.W[i]) == pytest.approx(1.0, abs=1e-9)
+        assert arr.alpha[i] > 0 and arr.tau[i] > 0
+        assert 0.0 <= arr.theta[i] <= 1.0
     assert np.all(arr.v >= 0)
     assert arr.v.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _per_unit_decode(g: Genome, dt: float):
+    """decode_genome's formulas applied one unit at a time on scalars."""
+    k = g.k
+    blocks = g.raw.reshape(g.m, k + 4)
+    rows = []
+    for i, block in enumerate(blocks):
+        norm = float(np.linalg.norm(block[:k]))
+        if norm < 1e-12:
+            w = np.zeros(k)
+            w[i % k] = 1.0
+        else:
+            w = block[:k] / norm
+        alpha = softplus(float(block[k])) + 1e-3
+        theta = min(max(float(block[k + 1]), 0.0), 1.0)
+        tau = softplus(float(block[k + 2])) + dt / 10.0
+        rows.append((w, alpha, theta, tau, dt / (tau + dt)))
+    ev = np.exp(blocks[:, -1] - blocks[:, -1].max())
+    return rows, ev / ev.sum()
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_decode_bits_match_per_unit_formulas(m):
+    genomes = [random_genome(m, 3, seed=s, scale=sc)
+               for s in range(10) for sc in (0.3, 0.8, 3.0)]
+    raw = genomes[0].raw.copy()
+    raw[2 * 7: 2 * 7 + 3] = 0.0  # unit 2's weight block falls back to a basis vector
+    genomes.append(Genome(raw=raw, m=m, k=3))
+    for g in genomes:
+        arr = decode_genome(g, dt=1.0)
+        rows, v = _per_unit_decode(g, 1.0)
+        for i, (w, alpha, theta, tau, beta) in enumerate(rows):
+            assert np.array_equal(arr.W[i], w)
+            assert arr.alpha[i] == alpha and arr.theta[i] == theta
+            assert arr.tau[i] == tau and arr.beta[i] == beta
+        assert np.array_equal(arr.v, v)
 
 
 def test_decode_zero_weight_block_falls_back_to_basis():
@@ -69,7 +107,7 @@ def test_decode_zero_weight_block_falls_back_to_basis():
     arr = decode_genome(Genome(raw=raw, m=m, k=k), dt=1.0)
     expected = np.zeros(k)
     expected[1 % k] = 1.0
-    assert np.array_equal(arr.units[1].w, expected)
+    assert np.array_equal(arr.W[1], expected)
 
 
 def test_decode_rejects_nonfinite():
@@ -82,22 +120,26 @@ def test_decode_rejects_nonfinite():
 def test_encode_decode_round_trip():
     arr = decode_genome(random_genome(5, 3, seed=3), dt=1.0)
     arr2 = decode_genome(encode_genome(arr), dt=1.0)
-    for u, u2 in zip(arr.units, arr2.units):
-        assert np.allclose(u.w, u2.w, atol=1e-6)
-        assert u.alpha == pytest.approx(u2.alpha, rel=1e-6)
-        assert u.theta == pytest.approx(u2.theta, abs=1e-6)
-        assert u.tau == pytest.approx(u2.tau, rel=1e-6)
+    assert np.allclose(arr.W, arr2.W, atol=1e-6)
+    assert np.allclose(arr.alpha, arr2.alpha, rtol=1e-6, atol=0.0)
+    assert np.allclose(arr.theta, arr2.theta, rtol=0.0, atol=1e-6)
+    assert np.allclose(arr.tau, arr2.tau, rtol=1e-6, atol=0.0)
     assert np.allclose(arr.v, arr2.v, atol=1e-6)
 
 
-def test_step_unit_matches_formula():
-    u = AfferentUnitParams(w=np.array([1.0, 0.0]), alpha=4.0, theta=0.3, tau=5.0)
-    dt = 1.0
-    beta = dt / (u.tau + dt)
-    a = 0.2
-    signal = 0.6
-    expected = (1.0 - beta) * a + beta * sigmoid(u.alpha * (signal - u.theta))
-    assert step_unit(u, a, signal, dt) == pytest.approx(expected, abs=1e-15)
+def test_compute_cat_one_step_matches_formula():
+    dt = 0.5
+    arr = decode_genome(random_genome(5, 3, seed=6), dt=dt)
+    a0 = rng_for(7, 90).uniform(0.0, 1.0, 5)
+    arr.state = a0.copy()
+    x = np.array([0.6, 0.2, 0.9])
+    cat, acts = compute_cat(arr, x)
+    for i in range(5):
+        beta = dt / (arr.tau[i] + dt)
+        z = arr.alpha[i] * (float(arr.W[i] @ x) - arr.theta[i])
+        expected = (1.0 - beta) * a0[i] + beta / (1.0 + math.exp(-z))
+        assert acts[i] == pytest.approx(expected, abs=1e-15)
+    assert cat == pytest.approx(float(np.dot(arr.v, acts)), abs=1e-15)
 
 
 def test_compute_cat_bounds_and_state():
@@ -116,11 +158,10 @@ def test_compute_cat_bounds_and_state():
 
 def test_handcrafted_genome_decodes_to_stated_baseline():
     arr = decode_genome(handcrafted_genome(6, 3), dt=1.0)
-    for i, u in enumerate(arr.units):
-        expected_w = np.zeros(3)
-        expected_w[i % 3] = 1.0
-        assert np.allclose(u.w, expected_w, atol=1e-6)
-        assert u.theta == pytest.approx(0.6, abs=1e-6)
-        assert u.alpha == pytest.approx(8.0, rel=1e-6)
-        assert u.tau == pytest.approx(5.0, rel=1e-6)
+    expected_w = np.zeros((6, 3))
+    expected_w[np.arange(6), np.arange(6) % 3] = 1.0
+    assert np.allclose(arr.W, expected_w, atol=1e-6)
+    assert np.allclose(arr.theta, 0.6, rtol=0.0, atol=1e-6)
+    assert np.allclose(arr.alpha, 8.0, rtol=1e-6, atol=0.0)
+    assert np.allclose(arr.tau, 5.0, rtol=1e-6, atol=0.0)
     assert np.allclose(arr.v, np.full(6, 1.0 / 6.0), atol=1e-9)

@@ -140,3 +140,15 @@ def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and f"{key.lstrip('-').split('.')[-1]} must be" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_zero_predictive_weights_exit_2_before_ablate_writes(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(MICRO + "predictive.lambda_env = 0\npredictive.lambda_pred = 0\n")
+    out = tmp_path / "o"
+    rc = main(["ablate", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "predictive.lambda_env" in err and "predictive.lambda_pred" in err

@@ -7,7 +7,6 @@ from afferent.memory import (
     HORIZON,
     PRE_WINDOW,
     MemoryStore,
-    StepRecord,
     apply_memory_bias,
     encode_key,
     maybe_capture,
@@ -17,8 +16,8 @@ from afferent.memory import (
 
 
 def rec(x, acts, cat, delta_d):
-    return StepRecord(x=np.asarray(x, float), activations=np.asarray(acts, float),
-                      cat=cat, delta_d=delta_d)
+    """maybe_capture's per-step arguments after the store."""
+    return np.asarray(x, float), np.asarray(acts, float), cat, delta_d
 
 
 def recall(store, key, k_ret):
@@ -59,13 +58,13 @@ def test_store_capacity_fifo():
 
 def test_capture_trigger_and_horizon_sum():
     store = MemoryStore()
-    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    assert not maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    assert not maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    assert not maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
     # damage trigger; the event step is the first term of the horizon sum
-    assert maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
+    assert maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
     assert len(store.pending) == 1 and len(store) == 0
     for j in range(HORIZON - 1):
-        opened = maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
+        opened = maybe_capture(store, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
         assert not opened
     assert len(store.pending) == 0 and len(store) == 1
     assert store.delta[0] == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
@@ -78,14 +77,23 @@ def test_capture_trigger_and_horizon_sum():
 def test_capture_cat_trigger_and_window_guard():
     store = MemoryStore()
     # high CAT alone cannot capture before the window has two steps
-    assert not maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
-    assert maybe_capture(store, rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert not maybe_capture(store, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert maybe_capture(store, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+
+
+def test_capture_thresholds_are_the_stores():
+    # the same step triggers against the store's own eps_d and kappa_cat only
+    for store, want in ((MemoryStore(eps_d=1e-2, kappa_cat=0.95), False),
+                        (MemoryStore(eps_d=0.0, kappa_cat=0.95), True),
+                        (MemoryStore(eps_d=1e-2, kappa_cat=0.5), True)):
+        maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+        assert maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.9, 1e-3)) is want
 
 
 def test_capture_key_matches_window_summary():
     store = MemoryStore()
-    maybe_capture(store, rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
-    maybe_capture(store, rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
+    maybe_capture(store, *rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
+    maybe_capture(store, *rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
     win = [([0.1, 0.2], [0.0, 0.1], 0.05), ([0.7, 0.6], [0.4, 0.5], 0.45)]
     p = store.pending[0]
     assert np.allclose(p.key, encode_key(win, 2), atol=1e-12)
@@ -95,9 +103,9 @@ def test_capture_key_matches_window_summary():
 
 def test_end_episode_finalizes_partial_sums():
     store = MemoryStore()
-    maybe_capture(store, rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    maybe_capture(store, rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
-    maybe_capture(store, rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
+    maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
+    maybe_capture(store, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
     store.end_episode()
     assert len(store.pending) == 0 and len(store.window) == 0
     assert len(store) == 1
@@ -222,14 +230,14 @@ def test_recall_risk_edge_cases():
 
 
 def test_query_composes_encode_retrieve_recall():
-    store = MemoryStore()
+    store = MemoryStore(k_ret=3)
     rng = np.random.default_rng(7)
     for _ in range(6):
         k = rng.normal(size=7)
         store.insert(k / np.linalg.norm(k), float(rng.uniform(0, 2)), 0.0)
     store.observe([0.3, 0.4], [0.2, 0.1], 0.15)
     store.observe([0.5, 0.6], [0.3, 0.2], 0.25)
-    got = store.query([0.7, 0.8], [0.4, 0.3], 0.35, 3)
+    got = store.query([0.7, 0.8], [0.4, 0.3], 0.35)
     win = [([0.3, 0.4], [0.2, 0.1], 0.15), ([0.5, 0.6], [0.3, 0.2], 0.25),
            ([0.7, 0.8], [0.4, 0.3], 0.35)]
     want = recall(store, encode_key(win, 3), 3)

@@ -89,6 +89,8 @@ def test_params_validation():
         DiscrepancyParams(w_delta=np.ones(3), delta0=-0.1)
     with pytest.raises(ValidationError):
         DiscrepancyParams(w_delta=np.ones(3), lambda_env=-0.2)
+    with pytest.raises(ValidationError, match="lambda_env \\+ lambda_pred"):
+        DiscrepancyParams(w_delta=np.ones(3), lambda_env=0.0, lambda_pred=0.0)
 
 
 def test_pred_signal_logistic():
@@ -106,6 +108,3 @@ def test_combine_cat_convex():
     assert combine_cat(0.4, 0.4, p) == pytest.approx(0.4)
     uneven = DiscrepancyParams(w_delta=np.ones(3), lambda_env=2.0, lambda_pred=2.0)
     assert combine_cat(1.0, 0.0, uneven) == pytest.approx(0.5)
-    zero = DiscrepancyParams(w_delta=np.ones(3), lambda_env=0.0, lambda_pred=0.0)
-    with pytest.raises(ConfigError):
-        combine_cat(0.5, 0.5, zero)

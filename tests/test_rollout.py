@@ -20,13 +20,10 @@ from afferent.util import rng_for
 M, K = 6, 3
 
 
-def make_setup(mode="base", memory=None, eps_d=None, episode_len=50, age=60.0):
+def make_setup(mode="base", memory=None, episode_len=50, age=60.0):
     array = decode_genome(handcrafted_genome(M, K), dt=1.0)
-    kwargs = {}
-    if eps_d is not None:
-        kwargs["eps_d"] = eps_d
     return AgentSetup(scenario=SCENARIOS["normal"], age=age, array=array,
-                      mode=mode, memory=memory, episode_len=episode_len, **kwargs)
+                      mode=mode, memory=memory, episode_len=episode_len)
 
 
 def make_policy(mode="base", seed=0):
@@ -68,9 +65,9 @@ def test_plain_mode_hides_cat():
 
 
 def test_memory_capture_during_training_steps():
-    memory = MemoryStore()
+    memory = MemoryStore(eps_d=0.0)
     # zero damage threshold makes every post-warmup step a trigger
-    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
+    setup = make_setup(mode="epi", memory=memory, episode_len=20)
     runner = Runner(setup, make_policy(mode="epi"), seed=1)
     runner.collect(40)  # two full episodes
     assert len(memory) > 0
@@ -78,8 +75,8 @@ def test_memory_capture_during_training_steps():
 
 
 def test_frozen_runner_never_captures():
-    memory = MemoryStore()
-    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
+    memory = MemoryStore(eps_d=0.0)
+    setup = make_setup(mode="epi", memory=memory, episode_len=20)
     runner = Runner(setup, make_policy(mode="epi"), seed=1, capture=False)
     runner.collect(40)
     assert len(memory) == 0 and len(memory.pending) == 0
@@ -119,8 +116,8 @@ def test_evaluate_policy_stats():
 
 
 def test_evaluate_policy_epi_reports_recalls():
-    memory = MemoryStore()
-    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
+    memory = MemoryStore(eps_d=0.0)
+    setup = make_setup(mode="epi", memory=memory, episode_len=20)
     Runner(setup, make_policy(mode="epi"), seed=1).collect(40)
     stats = evaluate_policy(setup, make_policy(mode="epi"), (701,), 1)
     assert stats[0].recalls is not None
@@ -129,8 +126,8 @@ def test_evaluate_policy_epi_reports_recalls():
 
 
 def test_evaluate_policy_episodes_are_frozen_runner_rows():
-    memory = MemoryStore()
-    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=20)
+    memory = MemoryStore(eps_d=0.0)
+    setup = make_setup(mode="epi", memory=memory, episode_len=20)
     policy = make_policy(mode="epi")
     Runner(setup, policy, seed=1).collect(40)  # fill the store, then freeze it
     assert len(memory) > 0
@@ -157,8 +154,8 @@ def test_evaluate_policy_episodes_are_frozen_runner_rows():
 def test_frozen_evaluation_starts_with_a_clean_window():
     # 300 steps over 64-step episodes end training mid-episode, leaving rows
     # in the memory window; the first evaluation episode must not see them
-    memory = MemoryStore()
-    setup = make_setup(mode="epi", memory=memory, eps_d=0.0, episode_len=64)
+    memory = MemoryStore(eps_d=0.0)
+    setup = make_setup(mode="epi", memory=memory, episode_len=64)
     cfg = PPOConfig(total_steps=300, rollout_len=128, epochs=1, minibatch=64,
                     hidden=(8,))
     policy = rl_train(setup, cfg, seed=4).policy
