@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int,
                        help="override ppo.total_steps")
         p.add_argument("--jobs", type=int,
-                       help="override the worker-process count")
+                       help="override the process count, the calling "
+                            "process included")
     return parser
 
 

@@ -2,13 +2,15 @@
 
 Each operation reads an ExperimentConfig, runs the relevant pipeline, and
 writes into a fixed output tree: out/{runs/*.jsonl, reports/*.json,
-curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells are
-scheduled in parallel when cfg.jobs > 1; every cell derives its randomness
-from its own seeds, so worker count never changes results.
+curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells run
+on cfg.jobs processes in total: the calling process plus cfg.jobs - 1 forked
+workers.  Every cell derives its randomness from its own seeds, so the
+process count never changes results.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -205,11 +207,71 @@ def _arm_inputs(cfg: ExperimentConfig):
     return plan, genome, model, disc
 
 
+def _ablation_cell(args):
+    """A cell's report rows only; its policy and history stay where it ran."""
+    cell = _train_eval_cell(args)
+    return {k: cell[k] for k in ("run_log", "episodes", "failure") if k in cell}
+
+
+# A pool worker's shared cursor, set as the worker starts: a synchronized
+# array cannot be sent with a task.
+_cursor = None
+
+
+def _init_worker(cursor) -> None:
+    global _cursor
+    _cursor = cursor
+
+
+def _claim(cursor, front: bool):
+    """Take the next index of [cursor[0], cursor[1]) from one end, or None."""
+    with cursor.get_lock():
+        lo, hi = cursor[0], cursor[1]
+        if lo >= hi:
+            return None
+        if front:
+            cursor[0] = lo + 1
+            return lo
+        cursor[1] = hi - 1
+        return hi - 1
+
+
+def _drain(fn, items, front: bool = True, cursor=None) -> dict:
+    """{index: fn(items[index])} for every index claimed until none is left.
+
+    A pool worker drains from the front through its own cursor.  If fn
+    raises, the cursor is exhausted first, so no process starts another item.
+    """
+    cursor = _cursor if cursor is None else cursor
+    done = {}
+    try:
+        while (i := _claim(cursor, front)) is not None:
+            done[i] = fn(items[i])
+    except BaseException:
+        with cursor.get_lock():
+            cursor[0] = cursor[1]
+        raise
+    return done
+
+
 def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    """[fn(it) for it in items] on min(jobs, len(items)) processes in total.
+
+    The caller is one of them: it claims items from the back of a shared
+    cursor while the forked workers claim from the front, and each worker
+    sends its results back once, when nothing is left to claim.
+    """
+    workers = min(jobs, len(items)) - 1
+    if workers < 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+    ctx = multiprocessing.get_context()
+    cursor = ctx.Array("q", [0, len(items)])
+    with ProcessPoolExecutor(workers, ctx, _init_worker, (cursor,)) as pool:
+        drains = [pool.submit(_drain, fn, items) for _ in range(workers)]
+        done = _drain(fn, items, front=False, cursor=cursor)
+        for d in drains:
+            done.update(d.result())
+    return [done[i] for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +432,7 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
         for age in cfg.ages
         for seed in cfg.seeds
     ]
-    results = _parallel_map(_train_eval_cell, cells, cfg.jobs)
+    results = _parallel_map(_ablation_cell, cells, cfg.jobs)
 
     failures = []
     run_logs = {v: [] for v in ABLATIONS}

@@ -101,17 +101,28 @@ class Adam:
         self.lr = lr
         self.m = np.zeros(n)
         self.v = np.zeros(n)
+        self._a = np.empty(n)
+        self._b = np.empty(n)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """params -= lr * m_hat / (sqrt(v_hat) + eps), every buffer updated in place."""
         if not np.all(np.isfinite(grad)):
             raise TrainingError("non-finite gradient")
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        a, b = self._a, self._b
+        np.multiply(self.m, self.beta1, out=self.m)
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        np.multiply(self.v, self.beta2, out=self.v)
+        np.square(grad, out=a)
+        self.v += np.multiply(a, 1.0 - self.beta2, out=a)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:

@@ -218,16 +218,18 @@ def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.
     dones = np.asarray(dones, dtype=float)
     if not rewards.shape == values.shape == dones.shape:
         raise ValidationError("gae inputs must have equal lengths")
-    T = rewards.shape[0]
-    adv = np.zeros(T)
+    # The recurrence runs on Python floats, which round as float64 scalars do.
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
+    adv = [0.0] * len(r)
     next_adv = 0.0
     next_value = last_value
-    for t in range(T - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+    for t in range(len(r) - 1, -1, -1):
+        nonterminal = 1.0 - d[t]
+        delta = r[t] + gamma * next_value * nonterminal - v[t]
         next_adv = delta + gamma * lam * nonterminal * next_adv
         adv[t] = next_adv
-        next_value = values[t]
+        next_value = v[t]
+    adv = np.array(adv)
     returns = adv + values
     if normalize:
         sd = adv.std()

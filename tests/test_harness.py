@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from afferent.afferents import handcrafted_genome
 from afferent.config import ExperimentConfig
 from afferent.errors import ConfigError
 from afferent.harness import (
+    _parallel_map,
     _resolve_genome,
     evaluate,
     probe_lipschitz,
@@ -168,11 +171,52 @@ def _tree_bytes(root):
 def test_ablation_output_does_not_depend_on_jobs(tmp_path):
     genome = handcrafted_genome(8, 3)
     trees = []
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         out = tmp_path / f"jobs{jobs}"
         run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
         trees.append(_tree_bytes(out))
-    assert trees[0] and trees[0] == trees[1]
+    assert trees[0] and trees[0] == trees[1] == trees[2]
+
+
+def _with_pid(item):
+    return item, os.getpid()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_parallel_map_matches_serial_map_on_jobs_processes(n, jobs):
+    items = [i * i for i in range(n)]
+    got = _parallel_map(_with_pid, items, jobs)
+    assert [item for item, _ in got] == items
+    assert len({pid for _, pid in got}) <= min(jobs, n)
+
+
+def _fail_on_one_side(item):
+    """Raise on the side (caller or worker) the item names; slow the other one."""
+    side, caller_pid, i = item
+    if (os.getpid() == caller_pid) == (side == "caller"):
+        raise ValueError(f"cell {i} failed in the {side}")
+    time.sleep(0.05)
+    return i
+
+
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_parallel_map_raises_the_failing_items_exception(side):
+    items = [(side, os.getpid(), i) for i in range(100)]
+    with pytest.raises(ValueError, match=f"failed in the {side}"):
+        _parallel_map(_fail_on_one_side, items, 2)
+
+
+def _create(path):
+    with open(path, "x"):  # a second claim of the same item raises FileExistsError
+        pass
+    return path
+
+
+def test_parallel_map_runs_each_item_once_on_eight_processes(tmp_path):
+    items = [tmp_path / str(i) for i in range(300)]
+    assert _parallel_map(_create, items, 8) == items
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in items)
 
 
 def test_reports_agree_with_episode_rows(tmp_path):

@@ -186,6 +186,29 @@ def test_gae_normalization_and_validation():
         gae([1.0, 2.0], [0.0], [0.0, 0.0], gamma=0.9, lam=0.9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 200, 513, 1024, 1100])
+def test_gae_matches_numpy_scalar_loop_bits(n):
+    # Reference: the recurrence on numpy float64 scalars, written out here.
+    rng = rng_for(31, n)
+    rewards = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2)
+    values = rng.normal(size=n)
+    dones = (rng.random(n) < 0.05).astype(float)
+    gamma, lam, last_value = 0.99, 0.95, float(rng.normal())
+    want = np.zeros(n)
+    next_adv, next_value = 0.0, last_value
+    for t in range(n - 1, -1, -1):
+        nonterminal = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_value * nonterminal - values[t]
+        next_adv = delta + gamma * lam * nonterminal * next_adv
+        want[t] = next_adv
+        next_value = values[t]
+    adv, ret = gae(rewards, values, dones, gamma, lam, last_value, normalize=False)
+    assert np.array_equal(adv, want) and np.array_equal(ret, want + values)
+    adv, ret = gae(rewards, values, dones, gamma, lam, last_value)
+    norm = (want - want.mean()) / max(want.std(), 1e-8)
+    assert np.array_equal(adv, norm) and np.array_equal(ret, want + values)
+
+
 def _tiny_batch(policy, n, seed):
     rng = rng_for(seed)
     obs = rng.uniform(0.0, 1.0, (n, policy.obs_dim))
