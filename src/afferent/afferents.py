@@ -5,7 +5,9 @@ innovation term.  The array holds its M units as parameter arrays: row i of
 the (M x K) weight matrix W is unit i's unit-norm projection of the feature
 vector, and alpha, theta and tau are its gain, threshold and time constant.
 The array aggregates unit activations into a single scalar risk signal (the
-computational afferent trace, CAT) through convex weights v.
+computational afferent trace, CAT) through convex weights v.  The array holds
+no activations: each stream that senses through it keeps its own and passes
+them to compute_cat, so one array can serve any number of streams.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "decode_genome",
     "encode_genome",
     "compute_cat",
-    "reset_state",
     "handcrafted_genome",
 ]
 
@@ -32,7 +33,7 @@ BLOCK_EXTRA = 4  # per-unit raw block is [w_raw(K), alpha_raw, theta_raw, tau_ra
 
 @dataclass
 class AfferentArray:
-    """M afferent units as parameter arrays, plus aggregation weights and state."""
+    """M afferent units as parameter arrays, plus aggregation weights."""
 
     W: np.ndarray  # (M x K) weight matrix with unit-norm rows
     alpha: np.ndarray  # gains, > 0
@@ -40,7 +41,6 @@ class AfferentArray:
     tau: np.ndarray  # time constants, > 0, same units as dt
     v: np.ndarray  # convex aggregation weights
     dt: float
-    state: np.ndarray = field(default=None)
     beta: np.ndarray = field(init=False)  # dt / (tau + dt), the per-step update weight
 
     def __post_init__(self):
@@ -48,9 +48,8 @@ class AfferentArray:
             np.asarray(a, dtype=float)
             for a in (self.W, self.alpha, self.theta, self.tau, self.v))
         m = len(self.W)
-        self.state = np.zeros(m) if self.state is None else np.asarray(self.state, dtype=float)
         if self.W.ndim != 2 or any(
-                a.shape != (m,) for a in (self.alpha, self.theta, self.tau, self.v, self.state)):
+                a.shape != (m,) for a in (self.alpha, self.theta, self.tau, self.v)):
             raise ValidationError("parameter lengths must match the unit count")
         if not np.all(np.abs(np.linalg.norm(self.W, axis=1) - 1.0) <= 1e-9):
             raise ValidationError("afferent weight vectors must be unit norm")
@@ -141,11 +140,11 @@ def encode_genome(arr: AfferentArray) -> Genome:
     return Genome(raw=blocks.ravel(), m=arr.m, k=k)
 
 
-def compute_cat(arr: AfferentArray, x: np.ndarray):
-    """Step every unit on feature vector x and aggregate activations.
+def compute_cat(arr: AfferentArray, acts: np.ndarray, x: np.ndarray):
+    """Step every unit from activations acts on feature vector x and aggregate.
 
-    Updates arr.state in place and returns (cat, activations), where
-    cat = sum_i v_i a_i lies in [0, 1].
+    Returns (cat, next_acts), where next_acts is a new array and
+    cat = sum_i v_i a_i over it lies in [0, 1]; acts is left unchanged.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (arr.k,):
@@ -153,14 +152,8 @@ def compute_cat(arr: AfferentArray, x: np.ndarray):
     if not np.isfinite(x).all():
         raise ValidationError("feature vector contains non-finite values")
     innovation = sigmoid(arr.alpha * (arr.W @ x - arr.theta))
-    arr.state = (1.0 - arr.beta) * arr.state + arr.beta * innovation
-    cat = float(arr.v @ arr.state)
-    return cat, arr.state.copy()
-
-
-def reset_state(arr: AfferentArray) -> None:
-    """Zero all activations."""
-    arr.state = np.zeros(arr.m)
+    next_acts = (1.0 - arr.beta) * acts + arr.beta * innovation
+    return float(arr.v @ next_acts), next_acts
 
 
 def handcrafted_genome(m: int, k: int, dt: float = 1.0) -> Genome:

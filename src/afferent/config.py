@@ -130,6 +130,9 @@ class ExperimentConfig:
                            ("probe.sd", self.probe_sd)):
             if not value > 0:
                 raise ConfigError(f"{key} must be positive")
+        if not self.dt < 50:
+            raise ConfigError("dt must be < 50: decoding floors tau at dt/10, and the "
+                              "handcrafted genome's tau is 5")
         if not 0.0 <= self.sim_action <= 1.0:
             raise ConfigError("sim.action must be in [0, 1]")
         if not 20.0 <= self.sim_age <= 90.0:

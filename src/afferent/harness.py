@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import env as twin
-from .afferents import (
-    Genome,
-    compute_cat,
-    decode_genome,
-    handcrafted_genome,
-    reset_state,
-)
+from .afferents import Genome, compute_cat, decode_genome, handcrafted_genome
 from .config import ABLATIONS, ExperimentConfig
 from .errors import ConfigError, TrainingError
 from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
@@ -289,12 +283,12 @@ def simulate(cfg: ExperimentConfig) -> dict:
         for rep in range(cfg.sim_repeats):
             seed = int(rng_for(cfg.seed, 21, si, rep).integers(0, 2**62))
             state = twin.reset(scen, cfg.sim_age, seed)
-            reset_state(array)
+            acts = np.zeros(array.m)
             rows = []
             for t in range(cfg.sim_steps):
                 state, res = twin.step(state, cfg.sim_action, scen,
                                        episode_len=cfg.sim_steps + 1)
-                cat, acts = compute_cat(array, res.x_next)
+                cat, acts = compute_cat(array, acts, res.x_next)
                 row = {
                     "time": t / twin.GAIT_PERIOD,
                     "stress": float(res.x_next[0]),

@@ -1,12 +1,13 @@
 """Episodic memory: event-triggered capture, kNN retrieval, recall risk.
 
-The store keeps a short rolling window of step records.  When a step's damage
-increment or CAT crosses its trigger threshold, the window is summarized into
-a normalized context key and a pending episode opens; the episode finalizes
-once the next h damage increments have been summed (or at episode end with the
-partial sum).  Retrieval is exact linear-scan kNN under cosine distance, and
-recall risk is the inverse-distance-weighted mean of retrieved future-damage
-values.
+Each stream keeps a Window of its recent steps and open captures.  When a
+step's damage increment or CAT crosses its trigger threshold, the window is
+summarized into a normalized context key and a capture opens; it finalizes
+into the store once the next h damage increments have been summed (or at
+episode end with the partial sum).  The store holds only finalized episodes
+and thresholds, so frozen streams share it read-only.  Retrieval is exact
+linear-scan kNN under cosine distance, and recall risk is the
+inverse-distance-weighted mean of retrieved future-damage values.
 
 The query path reads preallocated arrays, never per-call stacks.  The store
 holds its finalized episodes as row-aligned columns of capacity rows, oldest
@@ -34,6 +35,7 @@ from .errors import ValidationError
 __all__ = [
     "MemoryStore",
     "RecallResult",
+    "Window",
     "encode_key",
     "maybe_capture",
     "retrieve",
@@ -74,23 +76,26 @@ class RecallResult:
     d_mean: float
 
 
-class _Window:
-    """The last PRE_WINDOW (x, activations, cat) steps as array rows, oldest first.
+class Window:
+    """One stream's open captures and last PRE_WINDOW (x, activations, cat) steps.
 
-    The arrays are allocated by the first push with one spare row past the
-    window, which ``with_current`` fills to summarize a query's current step
-    without recording it.
+    The steps are array rows, oldest first, allocated by the first push with
+    one spare row past the window, which ``with_current`` fills to summarize
+    a query's current step without recording it.
     """
 
     def __init__(self):
         self.n = 0
         self.xs = self.acts = self.cats = None
+        self.pending: list[_Pending] = []
 
     def __len__(self) -> int:
         return self.n
 
     def clear(self) -> None:
+        """Drop the recorded steps and the open captures."""
         self.n = 0
+        self.pending = []
 
     def _put(self, row: int, x, activations, cat) -> None:
         if self.xs is None:
@@ -121,7 +126,7 @@ class _Window:
 
 
 class MemoryStore:
-    """Capacity-bounded FIFO episode store owned by a single rollout worker.
+    """Capacity-bounded FIFO store of finalized episodes.
 
     Rows [0, n) of ``keys``, ``delta`` and ``cat_hist`` are the finalized
     episodes, oldest first; the key matrix is allocated by the first insert,
@@ -142,15 +147,9 @@ class MemoryStore:
         self.keys: np.ndarray | None = None
         self.delta = np.empty(self.capacity)
         self.cat_hist = np.empty(self.capacity)
-        self.pending: list[_Pending] = []
-        self.window = _Window()
 
     def __len__(self) -> int:
         return self.n
-
-    def observe(self, x, activations, cat) -> None:
-        """Push one step into the rolling context window without capture logic."""
-        self.window.push(x, activations, cat)
 
     def insert(self, key, delta: float, cat_hist: float) -> None:
         """Append one finalized episode, evicting the oldest when full."""
@@ -170,25 +169,24 @@ class MemoryStore:
         self.cat_hist[self.n] = cat_hist
         self.n += 1
 
-    def query(self, x, activations, cat) -> RecallResult:
-        """Recall risk for the current context before it is recorded.
+    def query(self, window: Window, x, activations, cat) -> RecallResult:
+        """Recall risk for the stream's current context before it is recorded.
 
-        The query key summarizes the last PRE_WINDOW−1 recorded steps plus the
-        current (x, activations, cat) triple; with fewer than two points the
-        result is the empty-memory (0, 0).
+        The query key summarizes the window's last PRE_WINDOW−1 recorded steps
+        plus the current (x, activations, cat) triple; with fewer than two
+        points the result is the empty-memory (0, 0).
         """
-        if not self.window or not self.n:
+        if not window or not self.n:
             return RecallResult(0.0, 0.0)
-        key = _summarize(*self.window.with_current(x, activations, cat))
+        key = _summarize(*window.with_current(x, activations, cat))
         idx, dist = retrieve(self, key, self.k_ret)
         return recall_risk(self.delta[idx], dist)
 
-    def end_episode(self) -> None:
-        """Finalize pendings with their partial sums and clear the window."""
-        for p in self.pending:
+    def end_episode(self, window: Window) -> None:
+        """Finalize the window's open captures with their partial sums."""
+        for p in window.pending:
             self.insert(p.key, p.delta_sum, p.cat_hist)
-        self.pending = []
-        self.window.clear()
+        window.pending = []
 
 
 def encode_key(window, k: int) -> np.ndarray:
@@ -219,33 +217,34 @@ def _summarize(xs: np.ndarray, acts: np.ndarray, cats: np.ndarray) -> np.ndarray
     return raw / norm
 
 
-def maybe_capture(store: MemoryStore, x, activations, cat: float, delta_d: float) -> bool:
-    """Record one step, advance pending horizons, and open a capture on trigger.
+def maybe_capture(store: MemoryStore, window: Window, x, activations, cat: float,
+                  delta_d: float) -> bool:
+    """Record one step, advance open horizons, and open a capture on trigger.
 
     The current step's damage increment counts toward every open horizon,
-    including one opened at this step (the event step is term j=0 of the sum).
-    The trigger thresholds are the store's.  Returns whether a new capture
-    was opened.
+    including one opened at this step (the event step is term j=0 of the sum);
+    a closed horizon is inserted into the store.  The trigger thresholds are
+    the store's.  Returns whether a new capture was opened.
     """
-    store.observe(x, activations, cat)
+    window.push(x, activations, cat)
     still_open = []
-    for p in store.pending:
+    for p in window.pending:
         p.delta_sum += delta_d
         p.steps_left -= 1
         if p.steps_left <= 0:
             store.insert(p.key, p.delta_sum, p.cat_hist)
         else:
             still_open.append(p)
-    store.pending = still_open
+    window.pending = still_open
 
     triggered = delta_d > store.eps_d or cat > store.kappa_cat
-    if not triggered or len(store.window) < 2:
+    if not triggered or len(window) < 2:
         return False
-    xs, acts, cats = store.window.rows()
+    xs, acts, cats = window.rows()
     key = _summarize(xs, acts, cats)
     cat_hist = float(np.mean(cats))
-    store.pending.append(_Pending(key=key, cat_hist=cat_hist,
-                                  delta_sum=delta_d, steps_left=HORIZON - 1))
+    window.pending.append(_Pending(key=key, cat_hist=cat_hist,
+                                   delta_sum=delta_d, steps_left=HORIZON - 1))
     return True
 
 

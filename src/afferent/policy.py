@@ -77,17 +77,20 @@ class PPOConfig:
     max_grad_norm: float = 0.5
 
     def __post_init__(self):
-        if not self.clip > 0:
-            raise ValidationError("clip must be positive")
+        for name in ("clip", "lr", "max_grad_norm"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValidationError("gamma must lie in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValidationError("gae_lambda must lie in [0, 1]")
-        if not self.lr > 0:
-            raise ValidationError("lr must be positive")
         for name in ("rollout_len", "epochs", "minibatch"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ValidationError("hidden must be >= 1 in every layer")
+        if not self.value_coef >= 0:
+            raise ValidationError("value_coef must be >= 0")
 
 
 def obs_dim(mode: str, k: int, m: int) -> int:

@@ -1,9 +1,10 @@
 """Agent loop: PPO training and frozen-memory evaluation on the knee twin.
 
-A Runner owns one environment stream plus the afferent array, optional
-episodic memory, and optional predictive discrepancy, and advances them one
-action at a time.  rl_train collects PPO rollouts from a Runner; evaluation
-collects one episode at a time from a Runner with memory captures frozen.
+An AgentSetup holds the parameters that streams share: the afferent array,
+the optional episodic store and the optional predictive model.  A Runner is
+one stream that owns all it changes (twin state, activations, memory window,
+previous step).  rl_train collects PPO rollouts from a Runner; evaluation
+collects one episode at a time from Runners with memory captures frozen.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import env as twin
-from .afferents import AfferentArray, compute_cat, reset_state
-from .memory import MemoryStore, apply_memory_bias, maybe_capture
+from .afferents import AfferentArray, compute_cat
+from .memory import MemoryStore, Window, apply_memory_bias, maybe_capture
 from .nets import Adam
 from .policy import (
     PolicyParams,
@@ -56,7 +57,7 @@ def gait_context(t: int, age: float) -> np.ndarray:
     return np.array([np.sin(phi), np.cos(phi), (age - 20.0) / 70.0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentSetup:
     """Everything the agent loop needs besides the policy itself."""
 
@@ -91,9 +92,9 @@ class Runner:
     """One agent stream; collect advances environment, sensors, and memory.
 
     Training captures memory episodes and seeds its episodes from stream 3;
-    a frozen (capture=False) evaluation stream only observes, from stream 5.
-    Every episode starts with an empty memory window, so a frozen stream
-    never summarizes steps that an earlier runner left in the window.
+    a frozen (capture=False) evaluation stream only records its window, from
+    stream 5.  Every episode starts with zero activations and an empty
+    window of the runner's own, so no stream sees another's steps.
     """
 
     def __init__(self, setup: AgentSetup, policy: PolicyParams, seed: int,
@@ -103,6 +104,7 @@ class Runner:
         self.seed = seed
         self.capture = capture
         self.action_rng = rng_for(seed, 1)
+        self.window = Window()
         self.episode_idx = 0
         self._begin_episode()
 
@@ -110,9 +112,8 @@ class Runner:
         stream = 3 if self.capture else 5
         env_seed = int(rng_for(self.seed, stream, self.episode_idx).integers(0, 2**62))
         self.state = twin.reset(self.setup.scenario, self.setup.age, env_seed)
-        reset_state(self.setup.array)
-        if self.setup.memory is not None:
-            self.setup.memory.window.clear()
+        self.acts = np.zeros(self.setup.array.m)
+        self.window.clear()
         self.prev = None  # (x, action, t) of the last step, for the predictive model
         self._compute_current()
 
@@ -120,11 +121,9 @@ class Runner:
         """Sense the current features into the observation bundle."""
         s = self.setup
         x = self.state.x
-        if s.mode == "plain":
-            cat = 0.0
-            acts = np.zeros(s.array.m)
-        else:
-            cat, acts = compute_cat(s.array, x)
+        cat = 0.0
+        if s.mode != "plain":  # plain senses nothing; its activations stay zero
+            cat, self.acts = compute_cat(s.array, self.acts, x)
             if s.safe_model is not None and s.disc is not None:
                 if self.prev is None:
                     delta = 0.0
@@ -137,10 +136,10 @@ class Runner:
                 cat = apply_memory_bias(cat, s.memory)
         y_hat = d_mean = 0.0
         if s.mode == "epi" and s.memory is not None:
-            rr = s.memory.query(x, acts, cat)
+            rr = s.memory.query(self.window, x, self.acts, cat)
             y_hat, d_mean = rr.y_hat, rr.d_mean
-        self.cur = (x, acts, cat, y_hat)
-        self.obs = build_observation(x, acts, cat, y_hat, d_mean, s.mode, age=s.age)
+        self.cur = (x, self.acts, cat, y_hat)
+        self.obs = build_observation(x, self.acts, cat, y_hat, d_mean, s.mode, age=s.age)
 
     def _step(self) -> tuple:
         """Act once on the current observation; one row in _COLUMNS order."""
@@ -152,15 +151,15 @@ class Runner:
         reward = shaped_reward(res.task_reward, cat, res.delta_d, y_hat, s.reward)
         if s.memory is not None:
             if self.capture:
-                maybe_capture(s.memory, x, acts, cat, res.delta_d)
+                maybe_capture(s.memory, self.window, x, acts, cat, res.delta_d)
             else:
-                s.memory.observe(x, acts, cat)
+                self.window.push(x, acts, cat)
         self.prev = (x, action, t_act)
         row = (self.obs, z, logp, reward, float(res.done), cat, res.delta_d, action,
                res.task_reward, self.state.damage, y_hat)
         if res.done:
             if self.capture and s.memory is not None:
-                s.memory.end_episode()
+                s.memory.end_episode(self.window)
             self.episode_idx += 1
             self._begin_episode()
         else:
@@ -180,11 +179,7 @@ class TrainResult:
 
 
 def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int) -> TrainResult:
-    """Train a fresh policy with PPO for cfg.total_steps environment steps.
-
-    The afferent array parameters are read-only here; only its activation
-    state advances, and that is reset per episode.
-    """
+    """Train a fresh policy with PPO for cfg.total_steps environment steps."""
     dim = obs_dim(setup.mode, setup.array.k, setup.array.m)
     policy = init_policy(dim, rng_for(seed, 0), setup.mode, cfg.hidden)
     history: list = []

@@ -18,7 +18,6 @@ from afferent.afferents import (
     compute_cat,
     decode_genome,
     handcrafted_genome,
-    reset_state,
 )
 from afferent.cli import main
 from afferent.cmaes import ask, init_evolution, tell
@@ -76,32 +75,34 @@ sim.repeats = 1
 def test_unit_decay_and_fixed_point():
     start = time.perf_counter()
 
-    def one_unit(alpha, theta, a0):
+    def one_unit(alpha, theta):
         # with v = [1] the CAT is the unit's activation itself
         return AfferentArray(W=[[1.0, 0.0, 0.0]], alpha=[alpha], theta=[theta],
-                             tau=[4.0], v=[1.0], dt=1.0, state=[a0])
+                             tau=[4.0], v=[1.0], dt=1.0)
 
     # Zero drive: theta=1 with steep gain makes the innovation exactly 0, so
     # the activation must follow a(t) = (1-beta)^t a(0) to 1e-9.
-    quiet = one_unit(800.0, 1.0, 0.9)
+    quiet = one_unit(800.0, 1.0)
+    acts = np.array([0.9])
     beta = 1.0 / (4.0 + 1.0)
     for t in range(1, 51):
-        a, _ = compute_cat(quiet, np.zeros(3))
+        a, acts = compute_cat(quiet, acts, np.zeros(3))
         assert abs(a - (1.0 - beta) ** t * 0.9) <= 1e-9
 
     # Constant drive: the map contracts toward sigma(alpha (s - theta)) with
     # per-step ratio exactly (1 - beta).
-    driven = one_unit(4.0, 0.3, 0.0)
+    driven = one_unit(4.0, 0.3)
+    acts = np.zeros(1)
     x = np.array([0.7, 0.0, 0.0])
     a_star = sigmoid(4.0 * (0.7 - 0.3))
     a = 0.0
     for _ in range(30):
-        nxt, _ = compute_cat(driven, x)
+        nxt, acts = compute_cat(driven, acts, x)
         ratio = (nxt - a_star) / (a - a_star)
         assert abs(ratio - (1.0 - beta)) <= 1e-6
         a = nxt
     for _ in range(370):
-        a, _ = compute_cat(driven, x)
+        a, acts = compute_cat(driven, acts, x)
     assert abs(a - a_star) <= 1e-12
     assert time.perf_counter() - start < 1.0
 
@@ -115,11 +116,11 @@ def test_cat_bounds_on_random_sequences():
         raw = rng_for(300, gi).normal(0.0, 0.8, 8 * 7)
         arr = decode_genome(Genome(raw=raw, m=8, k=3), dt=1.0)
         for si in range(100):
-            reset_state(arr)
+            acts = np.zeros(8)
             rng = rng_for(301, gi, si)
             n_sequences += 1
             for _ in range(8):
-                cat, acts = compute_cat(arr, rng.uniform(0.0, 1.0, 3))
+                cat, acts = compute_cat(arr, acts, rng.uniform(0.0, 1.0, 3))
                 if not 0.0 <= cat <= 1.0:
                     violations += 1
                 # 1e-12 slack absorbs dot-product rounding only

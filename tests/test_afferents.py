@@ -10,7 +10,6 @@ from afferent.afferents import (
     decode_genome,
     encode_genome,
     handcrafted_genome,
-    reset_state,
 )
 from afferent.errors import ConfigError, ValidationError
 from afferent.util import rng_for, softplus
@@ -25,7 +24,6 @@ def test_array_validation():
                 tau=np.full(2, 2.0), v=np.full(2, 0.5), dt=1.0)
     arr = AfferentArray(**good)
     assert arr.m == 2 and arr.k == 2
-    assert np.array_equal(arr.state, np.zeros(2))
     assert np.array_equal(arr.beta, np.full(2, 1.0 / 3.0))
     for field, bad in (
         ("W", np.array([[1.0, 1.0], [0.0, 1.0]])),  # a row off unit norm
@@ -39,7 +37,6 @@ def test_array_validation():
         ("dt", 0.0),
         ("alpha", np.ones(3)),  # lengths disagree
         ("v", np.array([1.0])),
-        ("state", np.zeros(3)),
     ):
         with pytest.raises(ValidationError):
             AfferentArray(**{**good, field: bad})
@@ -131,9 +128,10 @@ def test_compute_cat_one_step_matches_formula():
     dt = 0.5
     arr = decode_genome(random_genome(5, 3, seed=6), dt=dt)
     a0 = rng_for(7, 90).uniform(0.0, 1.0, 5)
-    arr.state = a0.copy()
+    prev = a0.copy()
     x = np.array([0.6, 0.2, 0.9])
-    cat, acts = compute_cat(arr, x)
+    cat, acts = compute_cat(arr, prev, x)
+    assert np.array_equal(prev, a0)  # the given activations are not mutated
     for i in range(5):
         beta = dt / (arr.tau[i] + dt)
         z = arr.alpha[i] * (float(arr.W[i] @ x) - arr.theta[i])
@@ -145,15 +143,21 @@ def test_compute_cat_one_step_matches_formula():
 def test_compute_cat_bounds_and_state():
     arr = decode_genome(random_genome(8, 3, seed=4), dt=1.0)
     rng = rng_for(5, 90)
+    acts = np.zeros(arr.m)
+    steps = []
     for _ in range(50):
         x = rng.uniform(0.0, 1.0, 3)
-        cat, acts = compute_cat(arr, x)
+        prev = acts.copy()
+        cat, nxt = compute_cat(arr, acts, x)
         assert 0.0 <= cat <= 1.0
-        assert acts.min() - 1e-12 <= cat <= acts.max() + 1e-12
-        assert np.array_equal(acts, arr.state)
-        assert acts is not arr.state  # returned state is a copy
-    reset_state(arr)
-    assert np.all(arr.state == 0.0)
+        assert nxt.min() - 1e-12 <= cat <= nxt.max() + 1e-12
+        assert np.array_equal(acts, prev) and nxt is not acts  # a new array
+        steps.append((x, cat, nxt))
+        acts = nxt
+    # the array holds no activations: zeros restart the first step exactly
+    x, cat, nxt = steps[0]
+    again = compute_cat(arr, np.zeros(arr.m), x)
+    assert again[0] == cat and np.array_equal(again[1], nxt)
 
 
 def test_handcrafted_genome_decodes_to_stated_baseline():

@@ -125,7 +125,9 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("predictive.kappa", 0), ("sim.action", 2), ("sim.age", 10),
     ("probe.radius", 0), ("probe.sd", 0), ("predictive.lambda_env", -1),
     ("predictive.lambda_pred", -1), ("memory.eps_d", -1), ("memory.kappa_cat", -5),
-    ("evolution.rl_steps_short", -3), ("evolution.rl_steps_long", -3),
+    ("evolution.rl_steps_short", -3), ("evolution.rl_steps_long", -3), ("dt", 50),
+    ("ppo.hidden", 0), ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1),
+    ("ppo.value_coef", -1),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""

@@ -7,6 +7,7 @@ from afferent.memory import (
     HORIZON,
     PRE_WINDOW,
     MemoryStore,
+    Window,
     apply_memory_bias,
     encode_key,
     maybe_capture,
@@ -16,7 +17,7 @@ from afferent.memory import (
 
 
 def rec(x, acts, cat, delta_d):
-    """maybe_capture's per-step arguments after the store."""
+    """maybe_capture's per-step arguments after the store and the window."""
     return np.asarray(x, float), np.asarray(acts, float), cat, delta_d
 
 
@@ -57,16 +58,16 @@ def test_store_capacity_fifo():
 
 
 def test_capture_trigger_and_horizon_sum():
-    store = MemoryStore()
-    assert not maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    assert not maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    store, window = MemoryStore(), Window()
+    assert not maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    assert not maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
     # damage trigger; the event step is the first term of the horizon sum
-    assert maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
-    assert len(store.pending) == 1 and len(store) == 0
+    assert maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
+    assert len(window.pending) == 1 and len(store) == 0
     for j in range(HORIZON - 1):
-        opened = maybe_capture(store, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
+        opened = maybe_capture(store, window, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
         assert not opened
-    assert len(store.pending) == 0 and len(store) == 1
+    assert len(window.pending) == 0 and len(store) == 1
     assert store.delta[0] == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
     # the key and CAT summarize the window up to the event step
     win = [([0.1, 0.1], [0.0, 0.0], 0.0)] * 2 + [([0.8, 0.8], [0.5, 0.5], 0.1)]
@@ -75,10 +76,10 @@ def test_capture_trigger_and_horizon_sum():
 
 
 def test_capture_cat_trigger_and_window_guard():
-    store = MemoryStore()
+    store, window = MemoryStore(), Window()
     # high CAT alone cannot capture before the window has two steps
-    assert not maybe_capture(store, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
-    assert maybe_capture(store, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert not maybe_capture(store, window, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert maybe_capture(store, window, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
 
 
 def test_capture_thresholds_are_the_stores():
@@ -86,28 +87,33 @@ def test_capture_thresholds_are_the_stores():
     for store, want in ((MemoryStore(eps_d=1e-2, kappa_cat=0.95), False),
                         (MemoryStore(eps_d=0.0, kappa_cat=0.95), True),
                         (MemoryStore(eps_d=1e-2, kappa_cat=0.5), True)):
-        maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-        assert maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.9, 1e-3)) is want
+        window = Window()
+        maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+        assert maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.9, 1e-3)) is want
 
 
 def test_capture_key_matches_window_summary():
-    store = MemoryStore()
-    maybe_capture(store, *rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
-    maybe_capture(store, *rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
+    store, window = MemoryStore(), Window()
+    maybe_capture(store, window, *rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
+    maybe_capture(store, window, *rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
     win = [([0.1, 0.2], [0.0, 0.1], 0.05), ([0.7, 0.6], [0.4, 0.5], 0.45)]
-    p = store.pending[0]
+    p = window.pending[0]
     assert np.allclose(p.key, encode_key(win, 2), atol=1e-12)
     assert p.cat_hist == pytest.approx(0.25)
     assert p.delta_sum == pytest.approx(5e-4)
+    window.clear()  # drops the open capture with the steps
+    assert len(window) == 0 and not window.pending
 
 
 def test_end_episode_finalizes_partial_sums():
-    store = MemoryStore()
-    maybe_capture(store, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    maybe_capture(store, *rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
-    maybe_capture(store, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
-    store.end_episode()
-    assert len(store.pending) == 0 and len(store.window) == 0
+    store, window = MemoryStore(), Window()
+    maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
+    maybe_capture(store, window, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
+    store.end_episode(window)
+    assert len(window.pending) == 0 and len(window) == 3  # the steps stay
+    window.clear()
+    assert len(window.pending) == 0 and len(window) == 0
     assert len(store) == 1
     assert store.delta[0] == pytest.approx(1e-3 + 2e-5, abs=1e-15)
 
@@ -191,27 +197,29 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
 
 def test_query_after_end_episode_uses_only_new_steps():
     rng = np.random.default_rng(5)
-    store = MemoryStore()
+    store, window = MemoryStore(), Window()
     for t in range(10):
         k = rng.normal(size=7)
         store.insert(k / np.linalg.norm(k), float(t), 0.0)
     steps = [(rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
              for _ in range(PRE_WINDOW + 3)]
     for s in steps:
-        store.observe(*s)
+        window.push(*s)
     cur = (rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
     win = steps[-(PRE_WINDOW - 1):] + [cur]
     want = recall(store, encode_key(win, len(win)), 5)
-    assert store.query(*cur) == want
-    assert len(store.window) == PRE_WINDOW  # the query step is not recorded
+    assert store.query(window, *cur) == want
+    assert len(window) == PRE_WINDOW  # the query step is not recorded
 
-    store.end_episode()
-    assert len(store.window) == 0
-    res = store.query(*cur)
+    # an episode boundary, as a Runner takes it
+    store.end_episode(window)
+    window.clear()
+    assert len(window) == 0
+    res = store.query(window, *cur)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
-    store.observe(*steps[0])
+    window.push(*steps[0])
     want = recall(store, encode_key([steps[0], cur], 2), 5)
-    assert store.query(*cur) == want
+    assert store.query(window, *cur) == want
 
 
 def test_recall_risk_oracle():
@@ -235,9 +243,10 @@ def test_query_composes_encode_retrieve_recall():
     for _ in range(6):
         k = rng.normal(size=7)
         store.insert(k / np.linalg.norm(k), float(rng.uniform(0, 2)), 0.0)
-    store.observe([0.3, 0.4], [0.2, 0.1], 0.15)
-    store.observe([0.5, 0.6], [0.3, 0.2], 0.25)
-    got = store.query([0.7, 0.8], [0.4, 0.3], 0.35)
+    window = Window()
+    window.push([0.3, 0.4], [0.2, 0.1], 0.15)
+    window.push([0.5, 0.6], [0.3, 0.2], 0.25)
+    got = store.query(window, [0.7, 0.8], [0.4, 0.3], 0.35)
     win = [([0.3, 0.4], [0.2, 0.1], 0.15), ([0.5, 0.6], [0.3, 0.2], 0.25),
            ([0.7, 0.8], [0.4, 0.3], 0.35)]
     want = recall(store, encode_key(win, 3), 3)
@@ -246,12 +255,12 @@ def test_query_composes_encode_retrieve_recall():
 
 
 def test_query_empty_paths():
-    store = MemoryStore()
-    res = store.query([0.1, 0.1], [0.0, 0.0], 0.0)
+    store, window = MemoryStore(), Window()
+    res = store.query(window, [0.1, 0.1], [0.0, 0.0], 0.0)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
     store.insert([1.0] + [0.0] * 6, 1.0, 0.0)
     # a single query point cannot form a 2-step window
-    res2 = store.query([0.1, 0.1], [0.0, 0.0], 0.0)
+    res2 = store.query(window, [0.1, 0.1], [0.0, 0.0], 0.0)
     assert res2.y_hat == 0.0 and res2.d_mean == 0.0
 
 

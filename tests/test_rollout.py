@@ -71,7 +71,7 @@ def test_memory_capture_during_training_steps():
     runner = Runner(setup, make_policy(mode="epi"), seed=1)
     runner.collect(40)  # two full episodes
     assert len(memory) > 0
-    assert len(memory.pending) == 0  # end_episode flushed them
+    assert len(runner.window.pending) == 0  # end_episode flushed them
 
 
 def test_frozen_runner_never_captures():
@@ -79,7 +79,7 @@ def test_frozen_runner_never_captures():
     setup = make_setup(mode="epi", memory=memory, episode_len=20)
     runner = Runner(setup, make_policy(mode="epi"), seed=1, capture=False)
     runner.collect(40)
-    assert len(memory) == 0 and len(memory.pending) == 0
+    assert len(memory) == 0 and len(runner.window.pending) == 0
 
 
 def test_rl_train_history_and_determinism():
@@ -135,7 +135,9 @@ def test_evaluate_policy_episodes_are_frozen_runner_rows():
     stats = evaluate_policy(setup, policy, seeds, episodes)
     assert len(stats) == len(seeds) * episodes
     for i, seed in enumerate(seeds):
-        rows = Runner(setup, policy, seed, capture=False).collect(episodes * L)
+        runner = Runner(setup, policy, seed, capture=False)
+        rows = runner.collect(episodes * L)
+        assert len(runner.window.pending) == 0
         for j in range(episodes):
             ep = stats[i * episodes + j]
             part = {key: col[j * L:(j + 1) * L] for key, col in rows.items()}
@@ -148,21 +150,51 @@ def test_evaluate_policy_episodes_are_frozen_runner_rows():
         # the second episode continues the seed's runner, not a fresh one
         assert not np.array_equal(stats[i * episodes].actions,
                                   stats[i * episodes + 1].actions)
-    assert len(memory.pending) == 0
+
+
+def test_frozen_runners_share_a_setup_read_only():
+    # two frozen streams stepped alternately on one setup each give the rows
+    # they give alone, and evaluation leaves the shared store and array as
+    # training left them, open captures and all
+    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    memory = MemoryStore(eps_d=0.0)
+    setup = replace(make_setup(mode="epi", memory=memory, episode_len=20),
+                    safe_model=model, disc=disc)
+    policy = make_policy(mode="epi")
+    trainer = Runner(setup, policy, seed=1)
+    trainer.collect(50)  # ends mid-episode
+    assert len(memory) > 0 and trainer.window.pending
+    seeds = (701, 702)
+    runners = [Runner(setup, policy, seed, capture=False) for seed in seeds]
+    steps = [[r.collect(1) for r in runners] for _ in range(50)]
+    for i, seed in enumerate(seeds):
+        alone = Runner(setup, policy, seed, capture=False).collect(50)
+        for key, col in alone.items():
+            assert np.array_equal(np.concatenate([s[i][key] for s in steps]), col)
+
+    arr = setup.array
+    shared = (memory.keys, memory.delta, memory.cat_hist,
+              arr.W, arr.alpha, arr.theta, arr.tau, arr.v, arr.beta)
+    before = (len(memory), [a.tobytes() for a in shared])
+    evaluate_policy(setup, policy, seeds, 2)
+    assert (len(memory), [a.tobytes() for a in shared]) == before
 
 
 def test_frozen_evaluation_starts_with_a_clean_window():
-    # 300 steps over 64-step episodes end training mid-episode, leaving rows
-    # in the memory window; the first evaluation episode must not see them
+    # 300 steps over 64-step episodes end training mid-episode, with rows in
+    # the training window and captures open; the first evaluation episode
+    # must behave as on a store that holds the same rows but never trained
     memory = MemoryStore(eps_d=0.0)
     setup = make_setup(mode="epi", memory=memory, episode_len=64)
     cfg = PPOConfig(total_steps=300, rollout_len=128, epochs=1, minibatch=64,
                     hidden=(8,))
     policy = rl_train(setup, cfg, seed=4).policy
-    assert len(memory.window) > 0 and len(memory) > 0
+    assert cfg.total_steps % setup.episode_len and len(memory) > 0
+    untrained = MemoryStore(eps_d=0.0)
+    for i in range(len(memory)):
+        untrained.insert(memory.keys[i], memory.delta[i], memory.cat_hist[i])
     got = evaluate_policy(setup, policy, (701, 702), 1)
-    memory.window.clear()
-    want = evaluate_policy(setup, policy, (701, 702), 1)
+    want = evaluate_policy(replace(setup, memory=untrained), policy, (701, 702), 1)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g.recalls, w.recalls)
         assert np.array_equal(g.actions, w.actions)
