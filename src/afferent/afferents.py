@@ -12,6 +12,7 @@ them to compute_cat, so one array can serve any number of streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,16 +127,19 @@ def decode_genome(g: Genome, dt: float) -> AfferentArray:
 def encode_genome(arr: AfferentArray) -> Genome:
     """Invert decode_genome on constrained parameters.
 
-    Softplus is inverted through its log form and the softmax through
+    Softplus is inverted through inv_softplus and the softmax through
     elementwise log, so decode(encode(arr), arr.dt) reproduces the
-    constrained parameters within 1e-6.
+    constrained parameters within 1e-6.  An alpha or tau decoded onto its
+    floor has an excess of 0, raised to the smallest positive float, which
+    decodes back onto the floor.
     """
     k = arr.k
+    excess = np.array([arr.alpha - 1e-3, arr.tau - arr.dt / 10.0])
+    excess[excess == 0.0] = np.nextafter(0.0, 1.0)
     blocks = np.empty((arr.m, k + BLOCK_EXTRA))
     blocks[:, :k] = arr.W
-    blocks[:, k] = inv_softplus(arr.alpha - 1e-3)
+    blocks[:, k], blocks[:, k + 2] = inv_softplus(excess)
     blocks[:, k + 1] = arr.theta
-    blocks[:, k + 2] = inv_softplus(arr.tau - arr.dt / 10.0)
     blocks[:, k + 3] = np.log(np.maximum(arr.v, 1e-300))
     return Genome(raw=blocks.ravel(), m=arr.m, k=k)
 
@@ -147,9 +151,9 @@ def compute_cat(arr: AfferentArray, acts: np.ndarray, x: np.ndarray):
     cat = sum_i v_i a_i over it lies in [0, 1]; acts is left unchanged.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (arr.k,):
+    if x.shape != arr.W.shape[1:]:
         raise ValidationError("feature vector length %d, expected %d" % (x.size, arr.k))
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise ValidationError("feature vector contains non-finite values")
     innovation = sigmoid(arr.alpha * (arr.W @ x - arr.theta))
     next_acts = (1.0 - arr.beta) * acts + arr.beta * innovation

@@ -110,7 +110,8 @@ class ExperimentConfig:
                            ("memory.k_ret", self.memory_k_ret),
                            ("eval.episodes", self.eval_episodes),
                            ("probe.pairs", self.probe_pairs),
-                           ("evolution.generations", self.evo_generations)):
+                           ("evolution.generations", self.evo_generations),
+                           ("sim.steps", self.sim_steps), ("sim.repeats", self.sim_repeats)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),

@@ -112,19 +112,20 @@ def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndar
     """Generate [stress, strain, shear] at the state's current step index."""
     if not 0.0 <= action <= 1.0:
         raise ValidationError("action must lie in [0, 1]")
+    # Python floats round as numpy's float64 scalars do; sin stays numpy's.
     phi = 2.0 * np.pi * (state.t % GAIT_PERIOD) / GAIT_PERIOD
-    sin_phi = np.sin(phi)
+    sin_phi = float(np.sin(phi))
     age_mult = 1.0 + 0.01 * (state.age - 20.0)
-    eta = _noise(state.rng_seed, state.t, cfg.noise_sd)
+    eta = _noise(state.rng_seed, state.t, cfg.noise_sd).tolist()
     stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
-    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * np.sin(phi + np.pi / 3.0)) + eta[1]
+    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * float(np.sin(phi + np.pi / 3.0))) + eta[1]
     shear = (
         cfg.shear_mult * age_mult * action * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability)
         + eta[2]
     )
-    # maximum/minimum clip as np.clip does: the sums are never -0.0, the one
-    # input on which the two could differ
-    return np.minimum(np.maximum(np.array([stress, strain, shear]), 0.0), 1.0)
+    # min/max clip each value as np.clip does: the sums are never -0.0, the
+    # one input on which the two could differ
+    return np.array([min(max(v, 0.0), 1.0) for v in (stress, strain, shear)])
 
 
 def damage_increment(x: np.ndarray, action: float, age: float) -> float:

@@ -17,15 +17,17 @@ i of each belonging to the same episode.  ``insert`` is their only writer and
 shifts every column up by one row on eviction, so retrieval is one
 matrix-vector product on the first len(store) rows, the stable sort still
 breaks ties by age, and recall reads ``delta`` at the retrieved rows.  The
-rolling window keeps its x, activation and CAT rows in fixed arrays in
-chronological order, with one spare row for a query's current step, and keys
-are summarized from views of those rows.  The rows hold the same bytes in the
-same order as stacking the per-episode and per-step arrays, so results are
-bit-identical to the stacking formulation that ``encode_key`` keeps.
+rolling window keeps its steps as [x | activations | cat] rows of one fixed
+array in chronological order, with one spare row for a query's current step,
+and keys are summarized from views of those rows.  The rows hold the same
+bytes in the same order as stacking the per-episode and per-step arrays, and
+means and norms are the reductions ``.mean`` and ``np.linalg.norm`` run, so
+keys are bit-identical to the stacking oracle in ``tests/test_memory.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ __all__ = [
     "MemoryStore",
     "RecallResult",
     "Window",
-    "encode_key",
     "maybe_capture",
     "retrieve",
     "recall_risk",
@@ -79,14 +80,14 @@ class RecallResult:
 class Window:
     """One stream's open captures and last PRE_WINDOW (x, activations, cat) steps.
 
-    The steps are array rows, oldest first, allocated by the first push with
-    one spare row past the window, which ``with_current`` fills to summarize
-    a query's current step without recording it.
+    The steps are [x | activations | cat] rows, oldest first, allocated by the
+    first push with one spare row past the window, which ``with_current``
+    fills to summarize a query's current step without recording it.
     """
 
     def __init__(self):
         self.n = 0
-        self.xs = self.acts = self.cats = None
+        self.steps = None
         self.pending: list[_Pending] = []
 
     def __len__(self) -> int:
@@ -98,31 +99,29 @@ class Window:
         self.pending = []
 
     def _put(self, row: int, x, activations, cat) -> None:
-        if self.xs is None:
-            self.xs = np.empty((PRE_WINDOW + 1, np.size(x)))
-            self.acts = np.empty((PRE_WINDOW + 1, np.size(activations)))
-            self.cats = np.empty(PRE_WINDOW + 1)
-        self.xs[row] = x
-        self.acts[row] = activations
-        self.cats[row] = cat
+        k = len(x)
+        if self.steps is None:
+            self.steps = np.empty((PRE_WINDOW + 1, k + len(activations) + 1))
+        step = self.steps[row]
+        step[:k] = x
+        step[k:-1] = activations
+        step[-1] = cat
 
     def push(self, x, activations, cat) -> None:
         if self.n == PRE_WINDOW:
-            for a in (self.xs, self.acts, self.cats):
-                a[:PRE_WINDOW - 1] = a[1:PRE_WINDOW]
+            self.steps[:PRE_WINDOW - 1] = self.steps[1:PRE_WINDOW]
             self.n -= 1
         self._put(self.n, x, activations, cat)
         self.n += 1
 
-    def rows(self):
-        """Views of the recorded (xs, acts, cats) rows."""
-        return self.xs[:self.n], self.acts[:self.n], self.cats[:self.n]
+    def rows(self) -> np.ndarray:
+        """View of the recorded [x | activations | cat] rows."""
+        return self.steps[:self.n]
 
-    def with_current(self, x, activations, cat):
-        """Views of the last PRE_WINDOW−1 recorded rows plus the given step."""
+    def with_current(self, x, activations, cat) -> np.ndarray:
+        """View of the last PRE_WINDOW−1 recorded rows plus the given step."""
         self._put(self.n, x, activations, cat)
-        lo, hi = max(0, self.n + 1 - PRE_WINDOW), self.n + 1
-        return self.xs[lo:hi], self.acts[lo:hi], self.cats[lo:hi]
+        return self.steps[max(0, self.n + 1 - PRE_WINDOW):self.n + 1]
 
 
 class MemoryStore:
@@ -176,9 +175,9 @@ class MemoryStore:
         plus the current (x, activations, cat) triple; with fewer than two
         points the result is the empty-memory (0, 0).
         """
-        if not window or not self.n:
+        if not window.n or not self.n:
             return RecallResult(0.0, 0.0)
-        key = _summarize(*window.with_current(x, activations, cat))
+        key, _ = _summarize(window.with_current(x, activations, cat), len(x))
         idx, dist = retrieve(self, key, self.k_ret)
         return recall_risk(self.delta[idx], dist)
 
@@ -189,32 +188,28 @@ class MemoryStore:
         window.pending = []
 
 
-def encode_key(window, k: int) -> np.ndarray:
-    """Summarize the last k steps of (x, activations, cat) into a unit key.
+def _summarize(rows: np.ndarray, k: int):
+    """(unit key, mean CAT) of a window held as [x (K) | activations | cat] rows.
 
-    Layout: [mean x (K), mean activations (M), mean CAT (1),
-    endpoint finite-difference (x_last − x_first)/(k−1) (K)], then
-    L2-normalized; an all-zero summary falls back to the first basis vector.
+    Key layout: [mean x (K), mean activations (M), mean CAT (1), endpoint
+    finite-difference (x_last − x_first)/(steps−1) (K)], then L2-normalized;
+    an all-zero summary falls back to the first basis vector.
     """
-    window = list(window)[-k:]
-    if len(window) < 2:
-        raise ValidationError("key window needs at least 2 steps")
-    xs = np.stack([np.asarray(w[0], float) for w in window])
-    acts = np.stack([np.asarray(w[1], float) for w in window])
-    cats = np.array([float(w[2]) for w in window])
-    return _summarize(xs, acts, cats)
-
-
-def _summarize(xs: np.ndarray, acts: np.ndarray, cats: np.ndarray) -> np.ndarray:
-    """encode_key on a window already held as (steps x K), (steps x M), (steps,) rows."""
-    xdot = (xs[-1] - xs[0]) / (len(xs) - 1)
-    raw = np.concatenate([xs.mean(axis=0), acts.mean(axis=0), [cats.mean()], xdot])
-    norm = float(np.linalg.norm(raw))
+    n = len(rows)
+    raw = np.empty(rows.shape[1] + k)
+    np.add.reduce(rows, axis=0, out=raw[:-k])
+    raw[-k - 1] = np.add.reduce(rows[:, -1])  # 1-D, in the order cats.mean() adds
+    raw[:-k] /= n
+    np.subtract(rows[-1, :k], rows[0, :k], out=raw[-k:])
+    raw[-k:] /= n - 1
+    cat_mean = float(raw[-k - 1])
+    norm = math.sqrt(raw @ raw)
     if norm < 1e-12:
-        key = np.zeros(raw.shape)
-        key[0] = 1.0
-        return key
-    return raw / norm
+        raw[:] = 0.0
+        raw[0] = 1.0
+    else:
+        raw /= norm
+    return raw, cat_mean
 
 
 def maybe_capture(store: MemoryStore, window: Window, x, activations, cat: float,
@@ -240,9 +235,7 @@ def maybe_capture(store: MemoryStore, window: Window, x, activations, cat: float
     triggered = delta_d > store.eps_d or cat > store.kappa_cat
     if not triggered or len(window) < 2:
         return False
-    xs, acts, cats = window.rows()
-    key = _summarize(xs, acts, cats)
-    cat_hist = float(np.mean(cats))
+    key, cat_hist = _summarize(window.rows(), len(x))
     window.pending.append(_Pending(key=key, cat_hist=cat_hist,
                                    delta_sum=delta_d, steps_left=HORIZON - 1))
     return True
@@ -250,30 +243,29 @@ def maybe_capture(store: MemoryStore, window: Window, x, activations, cat: float
 
 def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
     """(rows, distances) of the k_ret episodes nearest in cosine distance, ties by age."""
-    key = np.asarray(key, dtype=float)
-    n = len(store)
+    n = store.n
     if not n:
         return np.empty(0, dtype=int), np.empty(0)
-    dist = 1.0 - store.keys[:n] @ key
+    dist = store.keys[:n] @ key
+    np.subtract(1.0, dist, out=dist)
     # Only distances up to the k-th smallest can be kept; a stable sort of
     # those, taken in index order, breaks ties by age as a full sort does.
     k = min(k_ret, n)
     kth = np.partition(dist, k - 1)[k - 1]
-    cand = np.flatnonzero(dist <= kth)
-    order = cand[np.argsort(dist[cand], kind="stable")][:k]
+    cand = (dist <= kth).nonzero()[0]
+    order = cand[dist[cand].argsort(kind="stable")[:k]]
     return order, dist[order]
 
 
-def recall_risk(deltas, dist) -> RecallResult:
+def recall_risk(deltas: np.ndarray, dist: np.ndarray) -> RecallResult:
     """Inverse-distance-weighted mean of retrieved future-damage values."""
-    d = np.asarray(dist, dtype=float)
-    if not d.size:
+    if not dist.size:
         return RecallResult(0.0, 0.0)
-    if np.any(d < 0):
+    if (dist < 0).any():
         raise ValidationError("negative retrieval distance")
-    w = 1.0 / (d + EPS_WEIGHT)
-    w = w / w.sum()
-    return RecallResult(float(w @ deltas), float(d.mean()))
+    w = 1.0 / (dist + EPS_WEIGHT)
+    w /= np.add.reduce(w)
+    return RecallResult(float(w @ deltas), float(np.add.reduce(dist) / dist.size))
 
 
 def apply_memory_bias(cat_mech: float, store: MemoryStore) -> float:
@@ -285,4 +277,4 @@ def apply_memory_bias(cat_mech: float, store: MemoryStore) -> float:
     n = len(store)
     if n < 3:
         return cat_mech
-    return 0.7 * cat_mech + 0.3 * float(np.mean(store.cat_hist[:n]))
+    return 0.7 * cat_mech + 0.3 * float(np.add.reduce(store.cat_hist[:n]) / n)

@@ -10,6 +10,8 @@ finite-difference checks work on the one array the forward pass reads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import TrainingError, ValidationError
@@ -65,26 +67,24 @@ class MLP:
     def forward(self, X: np.ndarray):
         """Forward pass; returns (output, cache for backward).
 
-        X is a batch (n x in) or a single row (in,), whose output is the
-        1-D (out,); backward takes the cache of a batch.
+        X is a float64 batch (n x in) or a single row (in,), whose output is
+        the 1-D (out,); backward takes the cache of a batch.
         """
-        X = np.asarray(X, dtype=float)
         hs = [X]
-        h = X
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else np.tanh(z)
-            hs.append(h)
+            h = hs[-1] @ w
+            h += b
+            hs.append(h if i == last else np.tanh(h, out=h))
         return hs[-1], hs
 
     def backward(self, cache, grad_out: np.ndarray, out: np.ndarray) -> None:
-        """Write the gradient of sum(grad_out * output) into the flat vector out."""
+        """Write the gradient of sum(grad_out * output), a float64 batch, into out."""
         grads_w, grads_b = _layers(self.sizes, out)
-        delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i][...] = cache[i].T @ delta
-            grads_b[i][...] = delta.sum(axis=0)
+            np.matmul(cache[i].T, delta, out=grads_w[i])
+            np.add.reduce(delta, axis=0, out=grads_b[i])
             if i > 0:
                 # cache[i] holds tanh(z) for hidden layers, so 1 - h^2 is tanh'
                 delta = (delta @ self.weights[i].T) * (1.0 - cache[i] ** 2)
@@ -107,7 +107,7 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """params -= lr * m_hat / (sqrt(v_hat) + eps), every buffer updated in place."""
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise TrainingError("non-finite gradient")
         self.t += 1
         a, b = self._a, self._b
@@ -127,7 +127,7 @@ class Adam:
 
 def clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:
     """Scale the gradient down to the given global L2 norm if it exceeds it."""
-    norm = float(np.linalg.norm(grad))
+    norm = math.sqrt(grad @ grad)  # np.linalg.norm's form for a vector
     if norm > max_norm and norm > 0:
         return grad * (max_norm / norm)
     return grad

@@ -89,8 +89,9 @@ class PPOConfig:
                 raise ValidationError(f"{name} must be >= 1")
         if any(width < 1 for width in self.hidden):
             raise ValidationError("hidden must be >= 1 in every layer")
-        if not self.value_coef >= 0:
-            raise ValidationError("value_coef must be >= 0")
+        for name in ("value_coef", "entropy_coef"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
 
 
 def obs_dim(mode: str, k: int, m: int) -> int:
@@ -113,19 +114,18 @@ def build_observation(x, activations, cat, y_hat=0.0, d_mean=0.0, mode="base",
     reduced is [cat, age_norm] with age_norm = (age - 20)/70; plain is the
     raw feature vector only.
     """
-    x = np.asarray(x, dtype=float)
-    activations = np.asarray(activations, dtype=float)
-    if mode == "base":
-        return np.concatenate([x, activations, [float(cat)]])
-    if mode == "epi":
-        return np.concatenate([x, activations, [float(cat), float(y_hat), float(d_mean)]])
     if mode == "reduced":
         if age is None:
             raise ValidationError("reduced mode needs the age")
         return np.array([float(cat), (float(age) - 20.0) / 70.0])
     if mode == "plain":
-        return x.copy()
-    raise ValidationError("unknown observation mode %r" % (mode,))
+        return np.array(x, dtype=float)
+    k, m = len(x), len(activations)
+    obs = np.empty(obs_dim(mode, k, m))  # rejects an unknown mode
+    obs[:k] = x
+    obs[k:k + m] = activations
+    obs[k + m:] = (cat, y_hat, d_mean) if mode == "epi" else cat
+    return obs
 
 
 def shaped_reward(task: float, cat: float, delta_d: float, y_hat: float,
@@ -179,18 +179,14 @@ def init_policy(dim: int, rng: np.random.Generator, mode: str = "base",
     return policy
 
 
-def _squash_log_jacobian(z: np.ndarray) -> np.ndarray:
-    # log|da/dz| for a = (tanh(z)+1)/2, written to stay finite for large |z|
-    return _LOG_2 - 2.0 * z - 2.0 * softplus(-2.0 * z)
-
-
-def _log_prob_z(mu: np.ndarray, log_std: float, z: np.ndarray) -> np.ndarray:
+def _log_prob_z(mu, log_std: float, z):
+    """(log-probability of the pre-squash draws z, their standardized (z - mu) / std)."""
     # d * d, not d ** 2: an array squares either way, but a float64 scalar's
-    # ** goes through pow, so only d * d gives scalars the same bits
-    std = np.exp(log_std)
-    d = (z - mu) / std
+    # ** goes through pow, so only d * d gives scalars the same bits.  The
+    # last term is log|da/dz| for a = (tanh(z)+1)/2, finite for large |z|.
+    d = (z - mu) / np.exp(log_std)
     gauss = -0.5 * (d * d) - log_std - _HALF_LOG_2PI
-    return gauss - _squash_log_jacobian(z)
+    return gauss - (_LOG_2 - 2.0 * z - 2.0 * softplus(-2.0 * z)), d
 
 
 def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Generator):
@@ -199,14 +195,15 @@ def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Genera
     Updates recompute log-probabilities at the stored z, so the squash
     inversion never has to run on saturated actions.  The actor runs on the
     1-D observation, giving mu of shape (1,) as a batch of one does; the
-    rest runs on float64 scalars, whose operations round as the arrays' do.
+    rest runs on float64 scalars, whose operations round as the arrays' do,
+    and one scalar normal draw is the draw of a size-1 array.
     """
-    mu, _ = policy.actor.forward(obs)
-    z = mu + np.exp(policy.log_std) * rng.standard_normal(mu.shape)
-    mu, z = mu[0], z[0]
-    action = 0.5 * (np.tanh(z) + 1.0)
-    logp = _log_prob_z(mu, policy.log_std, z)
-    return float(action), float(logp), float(z)
+    out, _ = policy.actor.forward(obs)
+    mu = out[0]
+    log_std = policy.log_std
+    z = mu + np.exp(log_std) * rng.standard_normal()
+    logp, _ = _log_prob_z(mu, log_std, z)
+    return float(0.5 * (np.tanh(z) + 1.0)), float(logp), float(z)
 
 
 def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.0,
@@ -246,29 +243,27 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
 
     Gradients are exact for the stored pre-squash samples z: the squash
     Jacobian does not depend on the parameters once z is fixed, so it enters
-    only through the stored old log-probabilities.
+    only through the stored old log-probabilities.  The inputs are float64
+    arrays, obs with one row per sample.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    z = np.asarray(z, dtype=float)
-    logp_old = np.asarray(logp_old, dtype=float)
-    adv = np.asarray(adv, dtype=float)
-    returns = np.asarray(returns, dtype=float)
-    n = obs.shape[0]
+    n = len(obs)
+    lo, hi = 1.0 - cfg.clip, 1.0 + cfg.clip
 
     mu_out, actor_cache = policy.actor.forward(obs)
     mu = mu_out[:, 0]
     log_std = policy.log_std
     std = np.exp(log_std)
-    logp = _log_prob_z(mu, log_std, z)
+    logp, zs = _log_prob_z(mu, log_std, z)
     ratio = np.exp(logp - logp_old)
-    clipped = np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip)
+    # maximum/minimum clip as np.clip does: ratio, an exp, is never -0.0,
+    # the one input on which the two could differ
     surr1 = ratio * adv
-    surr2 = clipped * adv
-    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    surr2 = np.minimum(np.maximum(ratio, lo), hi) * adv
+    policy_loss = -float(np.add.reduce(np.minimum(surr1, surr2)) / n)
 
     v_out, critic_cache = policy.critic.forward(obs)
     v = v_out[:, 0]
-    value_loss = float(np.mean((v - returns) ** 2))
+    value_loss = float(np.add.reduce((v - returns) ** 2) / n)
 
     entropy = log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))
 
@@ -278,13 +273,11 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
                             % (policy_loss, value_loss))
 
     # d(policy_loss)/d(ratio): the min picks the unclipped branch on ties
-    use_unclipped = surr1 <= surr2
-    inside_clip = (ratio > 1.0 - cfg.clip) & (ratio < 1.0 + cfg.clip)
-    dl_dratio = np.where(use_unclipped, adv, np.where(inside_clip, adv, 0.0))
+    inside_clip = (ratio > lo) & (ratio < hi)
+    dl_dratio = np.where((surr1 <= surr2) | inside_clip, adv, 0.0)
     dl_dlogp = -(dl_dratio * ratio) / n
-    zs = (z - mu) / std
     dl_dmu = dl_dlogp * (zs / std)
-    dl_dlogstd_policy = float(np.sum(dl_dlogp * (zs**2 - 1.0)))
+    dl_dlogstd_policy = float(np.add.reduce(dl_dlogp * (zs**2 - 1.0)))
     na = policy.actor.n_params
     grad = np.empty(policy.n_params)
     policy.actor.backward(actor_cache, dl_dmu[:, None], grad[:na])
@@ -294,7 +287,7 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
 
     grad[na] = dl_dlogstd_policy - cfg.entropy_coef
 
-    clip_fraction = float(np.mean((ratio < 1.0 - cfg.clip) | (ratio > 1.0 + cfg.clip)))
+    clip_fraction = np.count_nonzero((ratio < lo) | (ratio > hi)) / n
     stats = {
         "loss": float(total),
         "policy_loss": policy_loss,
@@ -321,7 +314,7 @@ def ppo_update(policy: PolicyParams, traj: dict, cfg: PPOConfig,
             )
             grad = clip_grad(grad, cfg.max_grad_norm)
             optimizer.step(policy.theta, grad)
-            policy.log_std = np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
+            policy.log_std = min(max(policy.log_std, LOG_STD_MIN), LOG_STD_MAX)
             for k_, v_ in stats.items():
                 agg[k_] = agg.get(k_, 0.0) + v_
             count += 1

@@ -8,7 +8,8 @@ be blended with the envelope-based CAT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class SafeStateModel:
             raise ValidationError("safe-state model shape mismatch")
 
     def predict(self, x: np.ndarray, action: float, context: np.ndarray) -> np.ndarray:
-        z = np.concatenate([np.asarray(x, float), [float(action)], np.asarray(context, float)])
+        z = np.concatenate((x, (action,), context))
         if z.shape[0] != self.A.shape[1]:
             raise ValidationError("safe-state model input length mismatch")
         return self.A @ z + self.b
@@ -107,16 +108,15 @@ def fit_safe_model(rollouts) -> SafeStateModel:
 
 def discrepancy(x_next: np.ndarray, x_hat: np.ndarray, p: DiscrepancyParams) -> float:
     """Weighted Euclidean distance ||diag(w_delta)(x_next - x_hat)||."""
-    x_next = np.asarray(x_next, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
     if x_next.shape != x_hat.shape or x_next.shape != p.w_delta.shape:
         raise ValidationError("discrepancy length mismatch")
-    return float(np.linalg.norm(p.w_delta * (x_next - x_hat)))
+    v = p.w_delta * (x_next - x_hat)
+    return math.sqrt(v @ v)  # np.linalg.norm's form for a vector
 
 
 def pred_signal(delta: float, p: DiscrepancyParams) -> float:
     """Logistic risk signal sigma(kappa * (delta - delta0))."""
-    return float(sigmoid(p.kappa * (delta - p.delta0)))
+    return sigmoid(p.kappa * (delta - p.delta0))
 
 
 def combine_cat(c_env: float, c_pred: float, p: DiscrepancyParams) -> float:

@@ -17,19 +17,25 @@ def sigmoid(x):
     """Numerically stable logistic function, exact 0/1 in the saturated tails.
 
     e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each side
-    of the where is the branch that cannot overflow.
+    of the where is the branch that cannot overflow.  A float takes the same
+    steps on float64 scalars, which round as the array path does.
     """
+    if isinstance(x, float):
+        e = np.exp(-abs(x))
+        return float((1.0 if x >= 0 else e) / (1.0 + e))
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = np.where(x >= 0, 1.0 / d, e / d)
+    out = np.where(x >= 0, 1.0, e) / d
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def softplus(x):
-    """log(1 + exp(x)) without overflow."""
+    """log(1 + exp(x)) without overflow; a float gives a float, as in sigmoid."""
+    if isinstance(x, float):
+        return float(max(x, 0.0) + np.log1p(np.exp(-abs(x))))
     x = np.asarray(x, dtype=float)
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     if out.ndim == 0:
@@ -38,12 +44,13 @@ def softplus(x):
 
 
 def inv_softplus(y):
-    """Inverse of softplus on y > 0: log(expm1(y)), stable for large y."""
+    """Inverse of softplus on y > 0: log(expm1(y)) below 1, finite down to the
+    smallest float, and y + log1p(-exp(-y)), which cannot overflow, from 1 up."""
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("inv_softplus requires positive input")
-    # for large y, log(expm1(y)) ~ y; the log1p form avoids overflow
-    out = y + np.log1p(-np.exp(-y))
+    hi = np.maximum(y, 1.0)
+    out = np.where(y < 1.0, np.log(np.expm1(np.minimum(y, 1.0))), hi + np.log1p(-np.exp(-hi)))
     if out.ndim == 0:
         return float(out)
     return out

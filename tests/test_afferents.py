@@ -124,6 +124,37 @@ def test_encode_decode_round_trip():
     assert np.allclose(arr.v, arr2.v, atol=1e-6)
 
 
+@pytest.mark.parametrize("dt", [1.0, 0.3, 7.0])
+def test_encode_is_total_at_the_gain_and_time_constant_floors(dt):
+    # A raw alpha or tau entry of -40 decodes within a few ulps of its floor
+    # 1e-3 or dt/10, or onto it, and one of -800 decodes onto it: the excess
+    # is below 1e-16 or exactly 0.
+    m, k = 4, 3
+    raw = random_genome(m, k, seed=12).raw
+    floored = [(0, k), (1, k + 2), (2, k), (2, k + 2), (3, k + 2)]
+    for unit, col in floored:
+        raw[unit * (k + 4) + col] = -40.0 if unit < 3 else -800.0
+    arr = decode_genome(Genome(raw=raw, m=m, k=k), dt=dt)
+    assert arr.alpha[0] - 1e-3 < 1e-16 and arr.tau[1] - dt / 10.0 < 1e-16
+    assert arr.tau[3] == dt / 10.0
+    again = decode_genome(encode_genome(arr), dt=dt)
+    for unit, col in floored:
+        field = "alpha" if col == k else "tau"
+        assert getattr(again, field)[unit] == getattr(arr, field)[unit]
+    assert np.allclose(again.alpha, arr.alpha, rtol=1e-6, atol=0.0)
+    assert np.allclose(again.tau, arr.tau, rtol=1e-6, atol=0.0)
+
+
+def test_handcrafted_genome_bytes_are_the_log1p_inverse():
+    # The bench digests hang on these bytes: alpha 8 and tau 5 invert through
+    # y + log1p(-exp(-y)), whatever inv_softplus does below 1.
+    for m, dt in ((64, 1.0), (6, 0.5)):
+        blocks = handcrafted_genome(m, 3, dt).raw.reshape(m, 7)
+        for col, y in ((3, 8.0 - 1e-3), (5, 5.0 - dt / 10.0)):
+            want = np.float64(y) + np.log1p(-np.exp(-np.float64(y)))
+            assert all(v.tobytes() == want.tobytes() for v in blocks[:, col])
+
+
 def test_compute_cat_one_step_matches_formula():
     dt = 0.5
     arr = decode_genome(random_genome(5, 3, seed=6), dt=dt)

@@ -127,7 +127,8 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("predictive.lambda_pred", -1), ("memory.eps_d", -1), ("memory.kappa_cat", -5),
     ("evolution.rl_steps_short", -3), ("evolution.rl_steps_long", -3), ("dt", 50),
     ("ppo.hidden", 0), ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1),
-    ("ppo.value_coef", -1),
+    ("ppo.value_coef", -1), ("ppo.entropy_coef", -1), ("sim.steps", 0),
+    ("sim.repeats", 0),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""

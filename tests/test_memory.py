@@ -8,8 +8,9 @@ from afferent.memory import (
     PRE_WINDOW,
     MemoryStore,
     Window,
+    RecallResult,
+    _summarize,
     apply_memory_bias,
-    encode_key,
     maybe_capture,
     recall_risk,
     retrieve,
@@ -26,12 +27,41 @@ def recall(store, key, k_ret):
     return recall_risk(store.delta[idx], dist)
 
 
+def encode_key(window, k: int) -> np.ndarray:
+    """Oracle key of the last k (x, activations, cat) steps, stacked afresh.
+
+    Layout: [mean x (K), mean activations (M), mean CAT (1), endpoint
+    finite-difference (x_last − x_first)/(k−1) (K)], then L2-normalized; an
+    all-zero summary falls back to the first basis vector.  Written with
+    np.stack, .mean and np.linalg.norm, the forms the store's keys must
+    reproduce bit for bit.
+    """
+    window = list(window)[-k:]
+    if len(window) < 2:
+        raise ValidationError("key window needs at least 2 steps")
+    xs = np.stack([np.asarray(w[0], float) for w in window])
+    acts = np.stack([np.asarray(w[1], float) for w in window])
+    cats = np.array([float(w[2]) for w in window])
+    xdot = (xs[-1] - xs[0]) / (len(xs) - 1)
+    raw = np.concatenate([xs.mean(axis=0), acts.mean(axis=0), [cats.mean()], xdot])
+    norm = float(np.linalg.norm(raw))
+    if norm < 1e-12:
+        key = np.zeros(raw.shape)
+        key[0] = 1.0
+        return key
+    return raw / norm
+
+
 def test_encode_key_layout_oracle():
     win = [([1.0, 0.0], [0.5, 0.5], 0.5), ([0.0, 1.0], [0.5, 0.5], 0.5)]
     key = encode_key(win, 2)
     raw = np.array([0.5, 0.5, 0.5, 0.5, 0.5, -1.0, 1.0])
     assert np.allclose(key, raw / np.sqrt(3.25), atol=1e-12)
     assert np.linalg.norm(key) == pytest.approx(1.0, abs=1e-12)
+    window = Window()
+    for step in win:
+        window.push(*step)
+    assert np.array_equal(_summarize(window.rows(), 2)[0], key)
 
 
 def test_encode_key_uses_last_k():
@@ -43,8 +73,43 @@ def test_encode_key_zero_fallback_and_validation():
     win = [([0.0, 0.0], [0.0], 0.0), ([0.0, 0.0], [0.0], 0.0)]
     key = encode_key(win, 2)
     assert key[0] == 1.0 and np.all(key[1:] == 0.0)
+    window = Window()
+    for step in win:
+        window.push(*step)
+    assert np.array_equal(_summarize(window.rows(), 2)[0], key)
     with pytest.raises(ValidationError):
         encode_key(win[:1], 1)
+
+
+def _random_step(rng, scale):
+    return (rng.uniform(-1.0, 1.0, 3) * scale, rng.uniform(0.0, 1.0, 64),
+            float(rng.uniform(0.0, 1.0)) * scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7, 3e5])
+def test_summarize_window_rows_equal_stacked_oracle_bits(scale):
+    # Window lengths 2..PRE_WINDOW, then evictions, each through the recorded
+    # rows and through a query's view with the current step; keys must be
+    # equal to the last bit, not only close.
+    rng = np.random.default_rng(21)
+    window, steps = Window(), []
+    for t in range(PRE_WINDOW + 6):
+        steps.append(_random_step(rng, scale))
+        window.push(*steps[-1])
+        cur = _random_step(rng, scale)
+        view = steps[-(PRE_WINDOW - 1):] + [cur]
+        assert np.array_equal(_summarize(window.with_current(*cur), 3)[0],
+                              encode_key(view, len(view)))
+        if t:
+            n = min(t + 1, PRE_WINDOW)
+            assert len(window) == n
+            key, cat_mean = _summarize(window.rows(), 3)
+            assert np.array_equal(key, encode_key(steps, n))
+            assert cat_mean == np.mean([s[2] for s in steps[-n:]])
+    zero = (np.zeros(3), np.zeros(64), 0.0)
+    for _ in range(PRE_WINDOW):
+        window.push(*zero)
+    assert np.array_equal(_summarize(window.rows(), 3)[0], encode_key([zero] * 2, 2))
 
 
 def test_store_capacity_fifo():
@@ -228,6 +293,26 @@ def test_recall_risk_oracle():
     assert res.d_mean == pytest.approx(0.2, abs=1e-15)
     w = np.array([1.0 / (0.1 + EPS_WEIGHT), 1.0 / (0.3 + EPS_WEIGHT)])
     assert res.y_hat == pytest.approx(float(w @ [1.0, 3.0] / w.sum()), abs=1e-15)
+
+
+def test_recall_risk_equals_mean_and_any_form_bits():
+    # Reference: the np.any check, w / w.sum() and d.mean() spelled out.
+    def reference(deltas, dist):
+        d = np.asarray(dist, dtype=float)
+        if np.any(d < 0):
+            raise ValidationError("negative retrieval distance")
+        w = 1.0 / (d + EPS_WEIGHT)
+        w = w / w.sum()
+        return RecallResult(float(w @ deltas), float(d.mean()))
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 7, 8, 9, 13):
+        for _ in range(200):
+            dist = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-8, 1)
+            deltas = rng.uniform(0.0, 1e-2, n)
+            assert recall_risk(deltas, dist) == reference(deltas, dist)
+    with pytest.raises(ValidationError):
+        recall_risk(np.ones(3), np.array([0.1, -0.0, -1e-300]))
 
 
 def test_recall_risk_edge_cases():

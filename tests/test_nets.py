@@ -135,3 +135,9 @@ def test_clip_grad():
     assert np.allclose(clipped, g / 5.0)
     assert np.array_equal(clip_grad(g, 10.0), g)
     assert np.array_equal(clip_grad(np.zeros(2), 1.0), np.zeros(2))
+    rng = rng_for(9)
+    for _ in range(200):
+        g = rng.normal(size=int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-6, 4)
+        norm = float(np.linalg.norm(g))
+        want = g * (0.5 / norm) if norm > 0.5 else g
+        assert clip_grad(g, 0.5).tobytes() == want.tobytes()

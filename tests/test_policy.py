@@ -153,7 +153,8 @@ def test_sample_action_z_matches_batch_path_bits():
         mu = policy.mean(obs[None])
         std = np.exp(policy.log_std)
         z = mu + std * twin.standard_normal((1,))
-        logp = _log_prob_z(mu, policy.log_std, z)
+        logp, d = _log_prob_z(mu, policy.log_std, z)
+        assert d.tobytes() == ((z - mu) / std).tobytes()
         gauss = -0.5 * ((z - mu) / std) ** 2 - policy.log_std - 0.5 * np.log(2.0 * np.pi)
         written = gauss - (np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z))
         assert logp.tobytes() == written.tobytes()
@@ -247,6 +248,68 @@ def test_ppo_gradient_matches_finite_differences():
     assert 0.0 <= stats["clip_fraction"] <= 1.0
     for key in ("loss", "policy_loss", "value_loss", "entropy"):
         assert np.isfinite(stats[key])
+
+
+def _reference_forward(net, X):
+    hs = [X]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = hs[-1] @ w + b
+        hs.append(z if i == len(net.weights) - 1 else np.tanh(z))
+    return hs
+
+
+def _reference_backward(net, hs, delta):
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads[:0] = [(hs[i].T @ delta).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (1.0 - hs[i] ** 2)
+    return np.concatenate(grads)
+
+
+def _reference_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg):
+    """ppo_loss_and_grad in np.mean, np.clip, nested np.where and np.sum forms."""
+    n = obs.shape[0]
+    actor_hs, critic_hs = (_reference_forward(net, obs) for net in (policy.actor, policy.critic))
+    mu, v = actor_hs[-1][:, 0], critic_hs[-1][:, 0]
+    std = np.exp(policy.log_std)
+    d = (z - mu) / std
+    jac = np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z)
+    logp = -0.5 * (d * d) - policy.log_std - 0.5 * np.log(2.0 * np.pi) - jac
+    ratio = np.exp(logp - logp_old)
+    surr1, surr2 = ratio * adv, np.clip(ratio, 1.0 - cfg.clip, 1.0 + cfg.clip) * adv
+    policy_loss = -float(np.mean(np.minimum(surr1, surr2)))
+    value_loss = float(np.mean((v - returns) ** 2))
+    entropy = policy.log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))
+    total = policy_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+    inside = (ratio > 1.0 - cfg.clip) & (ratio < 1.0 + cfg.clip)
+    dl_dratio = np.where(surr1 <= surr2, adv, np.where(inside, adv, 0.0))
+    dl_dlogp = -(dl_dratio * ratio) / n
+    dl_dv = cfg.value_coef * 2.0 * (v - returns) / n
+    grad = np.concatenate([
+        _reference_backward(policy.actor, actor_hs, (dl_dlogp * (d / std))[:, None]),
+        [float(np.sum(dl_dlogp * (d**2 - 1.0))) - cfg.entropy_coef],
+        _reference_backward(policy.critic, critic_hs, dl_dv[:, None]),
+    ])
+    clip_fraction = float(np.mean((ratio < 1.0 - cfg.clip) | (ratio > 1.0 + cfg.clip)))
+    return total, grad, clip_fraction
+
+
+def test_ppo_loss_and_grad_bits_match_reference_forms():
+    # Minibatches of the shape ppo_update takes, with ratios spread across
+    # both clip bounds, against the np.mean / np.clip / np.where forms.
+    cfg = PPOConfig(hidden=(16, 8))
+    policy = init_policy(11, rng_for(13), hidden=cfg.hidden)
+    for trial in range(6):
+        obs, z, logp_old, adv, returns = _tiny_batch(policy, 64, seed=40 + trial)
+        logp_old = logp_old + rng_for(50 + trial).normal(0.0, 0.3, 64)
+        total, grad, stats = ppo_loss_and_grad(policy, obs, z, logp_old, adv, returns, cfg)
+        want_total, want_grad, want_clip = _reference_loss_and_grad(
+            policy, obs, z, logp_old, adv, returns, cfg)
+        assert total == want_total and stats["clip_fraction"] == want_clip
+        assert 0.0 < want_clip < 1.0
+        assert grad.tobytes() == want_grad.tobytes()
+        policy.theta += rng_for(60 + trial).normal(0.0, 0.05, policy.n_params)
 
 
 def test_ppo_update_changes_params_and_reports_stats():

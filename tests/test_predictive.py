@@ -80,6 +80,26 @@ def test_discrepancy_weighted_norm():
         discrepancy(np.zeros(2), np.zeros(3), p)
 
 
+def test_discrepancy_equals_linalg_norm_bits():
+    rng = rng_for(9)
+    for _ in range(2000):
+        p = DiscrepancyParams(w_delta=rng.uniform(0.0, 2.0, 3))
+        x_next, x_hat = rng.normal(size=3), rng.normal(size=3) * 10.0 ** rng.integers(-9, 3)
+        want = float(np.linalg.norm(p.w_delta * (x_next - x_hat)))
+        assert discrepancy(x_next, x_hat, p) == want
+
+
+def test_predict_equals_stacked_input_bits():
+    rng = rng_for(10)
+    model = SafeStateModel(A=rng.normal(size=(3, 7)), b=rng.normal(size=3))
+    for _ in range(500):
+        x, a, s = rng.uniform(size=3), float(rng.uniform()), rng.normal(size=3)
+        want = model.A @ np.concatenate([x, [a], s]) + model.b
+        assert model.predict(x, a, s).tobytes() == want.tobytes()
+    with pytest.raises(ValidationError):
+        model.predict(np.ones(3), 0.5, np.ones(1))
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         DiscrepancyParams(w_delta=np.array([-1.0, 1.0]))

@@ -36,6 +36,23 @@ def test_sigmoid_bits_match_two_branch_reference():
     assert all(np.float64(sigmoid(float(x))).tobytes() == w.tobytes() for x, w in zip(xs, want))
 
 
+EDGES = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 5e-324, -5e-324, 36.0, -36.0]
+
+
+@pytest.mark.parametrize("fn", [sigmoid, softplus])
+def test_float_branch_equals_array_path_bits(fn):
+    # A float takes the scalar branch; a 0-d array, a length-1 array and a
+    # slice of a long array take the array path.
+    xs = np.concatenate([rng_for(11).normal(0.0, 30.0, 3000), EDGES])
+    whole = fn(xs)
+    for i, x in enumerate(xs):
+        got = fn(float(x))
+        assert type(got) is float
+        for ref in (fn(np.array(x)), fn(np.array([x]))[0], whole[i]):
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    assert type(fn(np.float64(0.5))) is float
+
+
 def test_softplus_limits():
     assert softplus(50.0) == pytest.approx(50.0, abs=1e-12)
     assert softplus(-50.0) == pytest.approx(0.0, abs=1e-12)
@@ -45,6 +62,14 @@ def test_softplus_limits():
 def test_inv_softplus_round_trip():
     for x in (-5.0, -0.3, 0.0, 0.7, 4.0, 30.0):
         assert inv_softplus(softplus(x)) == pytest.approx(x, abs=1e-9)
+
+
+def test_inv_softplus_finite_down_to_the_smallest_float():
+    ys = np.array([np.nextafter(0.0, 1.0), 1e-300, 4e-18, 1e-16, 1e-10, 0.5, 0.999])
+    xs = inv_softplus(ys)
+    assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)
+    assert np.allclose(softplus(xs), ys, rtol=1e-12, atol=0.0)
+    assert softplus(xs[0]) == ys[0]
 
 
 def test_inv_softplus_rejects_nonpositive():
