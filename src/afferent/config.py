@@ -9,6 +9,7 @@ dumped default document reproduces stock behavior.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -16,10 +17,11 @@ from .env import SCENARIOS
 from .errors import ConfigError, ValidationError
 from .evolution import FitnessSpec
 from .memory import CAPACITY, EPS_D, K_RET, KAPPA_CAT
-from .policy import OBS_MODES, PPOConfig, RewardParams
+from .policy import PPOConfig, RewardParams
 
 __all__ = [
     "ABLATIONS",
+    "ARMS",
     "DEFAULTS",
     "ExperimentConfig",
     "parse_config",
@@ -28,7 +30,19 @@ __all__ = [
     "apply_cli_overrides",
 ]
 
-ABLATIONS = ("full", "no_cat", "no_evolution", "no_amm", "no_predictive")
+# Each ablation arm's wiring: observation mode, episodic memory on or off,
+# predictive layer on or off, and the reward weights it sets to zero.  The arm
+# is the only wiring switch; no_evolution is wired as full and differs in its
+# genome alone, the handcrafted one.
+Arm = namedtuple("Arm", "mode use_memory use_predictive zeroed")
+ARMS = {
+    "full": Arm("epi", True, True, ()),
+    "no_cat": Arm("plain", False, False, ("lambda_cat", "lambda_mem")),
+    "no_evolution": Arm("epi", True, True, ()),
+    "no_amm": Arm("base", False, True, ("lambda_mem",)),
+    "no_predictive": Arm("epi", True, False, ()),
+}
+ABLATIONS = tuple(ARMS)
 
 
 def _key(key: str, default):
@@ -56,10 +70,6 @@ class ExperimentConfig:
     k: int = 3
     dt: float = 1.0
     episode_len: int = 200
-    mode: str = "epi"
-    use_memory: bool = True
-    use_predictive: bool = True
-    memory_bias: bool = False
     genome: str = ""
     policy: str = ""
     memory_capacity: int = _key("memory.capacity", CAPACITY)
@@ -88,13 +98,16 @@ class ExperimentConfig:
     probe_radius: float = _key("probe.radius", 0.1)
     probe_sd: float = _key("probe.sd", 0.01)
 
+    @property
+    def mode(self) -> str:
+        """The observation mode the ablation arm wires; not a config key."""
+        return ARMS[self.ablation].mode
+
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.mode not in OBS_MODES:
-            raise ConfigError(f"unknown observation mode {self.mode!r}")
         if not self.ages:
             raise ConfigError("ages must be nonempty")
         if not self.seeds:
@@ -114,6 +127,8 @@ class ExperimentConfig:
                            ("sim.steps", self.sim_steps), ("sim.repeats", self.sim_repeats)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if self.evo_popsize < 2:
+            raise ConfigError("evolution.popsize must be >= 2")
         for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),
                             ("eval.seeds", self.eval_seeds),
                             ("predictive.seed", (self.pred_seed,)),
@@ -127,6 +142,7 @@ class ExperimentConfig:
         if not self.pred_lambda_env + self.pred_lambda_pred > 0:
             raise ConfigError("predictive.lambda_env + predictive.lambda_pred must be positive")
         for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa),
+                           ("evolution.sigma0", self.evo_sigma0),
                            ("probe.radius", self.probe_radius),
                            ("probe.sd", self.probe_sd)):
             if not value > 0:
@@ -155,21 +171,13 @@ def _keys():
             yield key, f.name, None, f.default
 
 
-# Every configurable key with its stock value.  Value type drives parsing
-# (bool before int: bool is an int subclass).
+# Every configurable key with its stock value; the value's type drives parsing.
 DEFAULTS = {key: value for key, _, _, value in _keys()}
 _TARGETS = {key: (name, sub) for key, name, sub, _ in _keys()}
 
 
 def _parse_scalar(text: str, template):
     text = text.strip()
-    if isinstance(template, bool):
-        low = text.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {text!r}")
     if isinstance(template, int):
         try:
             return int(text)
@@ -183,8 +191,7 @@ def _parse_scalar(text: str, template):
     if isinstance(template, tuple):
         if not text:
             raise ConfigError("expected comma-separated list, got empty value")
-        item = template[0] if template else 0.0
-        return tuple(_parse_scalar(part, item) for part in text.split(","))
+        return tuple(_parse_scalar(part, template[0]) for part in text.split(","))
     return text
 
 
@@ -210,7 +217,9 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _build(values: dict) -> ExperimentConfig:
+def _build(values: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` (the stock config by default) with {key: value} set over it."""
+    base = ExperimentConfig() if base is None else base
     top, groups = {}, {}
     for key, value in values.items():
         name, sub = _TARGETS[key]
@@ -219,10 +228,9 @@ def _build(values: dict) -> ExperimentConfig:
         else:
             groups.setdefault(name, {})[sub] = value
     try:
-        for f in fields(ExperimentConfig):
-            if f.name in groups:
-                top[f.name] = f.default_factory(**groups[f.name])
-        return ExperimentConfig(**top)
+        for name, sub_values in groups.items():
+            top[name] = replace(getattr(base, name), **sub_values)
+        return replace(base, **top)
     except ValidationError as exc:
         # Bad values supplied through config are configuration errors.
         raise ConfigError(str(exc)) from exc
@@ -252,24 +260,12 @@ def default_config_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_cli_overrides(cfg: ExperimentConfig, *, seed=None, out=None,
-                        ablation=None, ages=None, scenario=None,
-                        steps=None, jobs=None) -> ExperimentConfig:
-    """Fold command-line flags into a parsed config; flags win."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = int(seed)
-    if out is not None:
-        updates["out"] = str(out)
-    if ablation is not None:
-        updates["ablation"] = str(ablation)
-    if ages is not None:
-        updates["ages"] = tuple(float(a) for a in ages)
-    if scenario is not None:
-        updates["scenario"] = str(scenario)
-    if jobs is not None:
-        updates["jobs"] = int(jobs)
-    cfg = replace(cfg, **updates) if updates else cfg
-    if steps is not None:
-        cfg = replace(cfg, ppo=replace(cfg.ppo, total_steps=int(steps)))
-    return cfg
+# Command-line flag -> the config key it sets.
+_FLAGS = {"seed": "seed", "out": "out", "ablation": "ablation", "ages": "ages",
+          "scenario": "scenario", "steps": "ppo.total_steps", "jobs": "jobs"}
+
+
+def apply_cli_overrides(cfg: ExperimentConfig, **flags) -> ExperimentConfig:
+    """Fold command-line flags (the _FLAGS names; None = unset) into cfg; flags win."""
+    return _build({_FLAGS[flag]: value for flag, value in flags.items()
+                   if value is not None}, cfg)

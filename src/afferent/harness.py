@@ -19,7 +19,7 @@ import numpy as np
 
 from . import env as twin
 from .afferents import Genome, compute_cat, decode_genome, handcrafted_genome
-from .config import ABLATIONS, ExperimentConfig
+from .config import ABLATIONS, ARMS, ExperimentConfig
 from .errors import ConfigError, TrainingError
 from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
@@ -72,17 +72,12 @@ class VariantPlan:
 
 
 def variant_plan(cfg: ExperimentConfig, variant: str) -> VariantPlan:
-    if variant in ("full", "no_evolution"):
-        return VariantPlan(cfg.mode, cfg.use_memory, cfg.use_predictive, cfg.reward)
-    if variant == "no_cat":
-        return VariantPlan("plain", False, False,
-                           replace(cfg.reward, lambda_cat=0.0, lambda_mem=0.0))
-    if variant == "no_amm":
-        return VariantPlan("base", False, cfg.use_predictive,
-                           replace(cfg.reward, lambda_mem=0.0))
-    if variant == "no_predictive":
-        return VariantPlan(cfg.mode, cfg.use_memory, False, cfg.reward)
-    raise ConfigError(f"unknown ablation {variant!r}")
+    """The wiring ARMS gives the arm, with its zeroed weights off cfg.reward."""
+    if variant not in ARMS:
+        raise ConfigError(f"unknown ablation {variant!r}")
+    arm = ARMS[variant]
+    return VariantPlan(arm.mode, arm.use_memory, arm.use_predictive,
+                       replace(cfg.reward, **dict.fromkeys(arm.zeroed, 0.0)))
 
 
 def resolve_predictive(cfg: ExperimentConfig):
@@ -135,7 +130,7 @@ def _build_setup(cfg: ExperimentConfig, plan: VariantPlan, genome: Genome,
         reward=plan.reward, mode=plan.mode, memory=memory,
         safe_model=model if plan.use_predictive else None,
         disc=disc if plan.use_predictive else None,
-        memory_bias=cfg.memory_bias, episode_len=cfg.episode_len,
+        episode_len=cfg.episode_len,
     )
 
 

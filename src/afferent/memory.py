@@ -41,7 +41,6 @@ __all__ = [
     "maybe_capture",
     "retrieve",
     "recall_risk",
-    "apply_memory_bias",
     "PRE_WINDOW",
     "HORIZON",
     "EPS_D",
@@ -267,14 +266,3 @@ def recall_risk(deltas: np.ndarray, dist: np.ndarray) -> RecallResult:
     w /= np.add.reduce(w)
     return RecallResult(float(w @ deltas), float(np.add.reduce(dist) / dist.size))
 
-
-def apply_memory_bias(cat_mech: float, store: MemoryStore) -> float:
-    """Blend 70% mechanical CAT with 30% historical mean CAT of the store.
-
-    Requires at least 3 finalized episodes; otherwise the mechanical CAT
-    passes through unchanged.
-    """
-    n = len(store)
-    if n < 3:
-        return cat_mech
-    return 0.7 * cat_mech + 0.3 * float(np.add.reduce(store.cat_hist[:n]) / n)

@@ -19,7 +19,6 @@ from .nets import MLP, Adam, clip_grad
 from .util import softplus
 
 __all__ = [
-    "OBS_MODES",
     "RewardParams",
     "PPOConfig",
     "PolicyParams",
@@ -35,7 +34,6 @@ __all__ = [
     "LOG_STD_MAX",
 ]
 
-OBS_MODES = ("base", "epi", "reduced", "plain")
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -99,25 +97,18 @@ def obs_dim(mode: str, k: int, m: int) -> int:
         return k + m + 1
     if mode == "epi":
         return k + m + 3
-    if mode == "reduced":
-        return 2
     if mode == "plain":
         return k
     raise ValidationError("unknown observation mode %r" % (mode,))
 
 
-def build_observation(x, activations, cat, y_hat=0.0, d_mean=0.0, mode="base",
-                      age=None) -> np.ndarray:
+def build_observation(x, activations, cat, y_hat=0.0, d_mean=0.0,
+                      mode="base") -> np.ndarray:
     """Assemble the policy observation; the damage state is never an input.
 
-    Layouts: base [x, activations, cat]; epi appends [y_hat, d_mean];
-    reduced is [cat, age_norm] with age_norm = (age - 20)/70; plain is the
-    raw feature vector only.
+    Layouts: base [x, activations, cat]; epi appends [y_hat, d_mean]; plain
+    is the raw feature vector only.
     """
-    if mode == "reduced":
-        if age is None:
-            raise ValidationError("reduced mode needs the age")
-        return np.array([float(cat), (float(age) - 20.0) / 70.0])
     if mode == "plain":
         return np.array(x, dtype=float)
     k, m = len(x), len(activations)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import env as twin
 from .afferents import AfferentArray, compute_cat
-from .memory import MemoryStore, Window, apply_memory_bias, maybe_capture
+from .memory import MemoryStore, Window, maybe_capture
 from .nets import Adam
 from .policy import (
     PolicyParams,
@@ -69,7 +69,6 @@ class AgentSetup:
     memory: MemoryStore | None = None
     safe_model: SafeStateModel | None = None
     disc: DiscrepancyParams | None = None
-    memory_bias: bool = False
     episode_len: int = twin.EPISODE_LEN
 
 
@@ -132,14 +131,12 @@ class Runner:
                     x_hat = s.safe_model.predict(px, pa, gait_context(pt, s.age))
                     delta = discrepancy(x, x_hat, s.disc)
                 cat = combine_cat(cat, pred_signal(delta, s.disc), s.disc)
-            if s.memory_bias and s.memory is not None:
-                cat = apply_memory_bias(cat, s.memory)
         y_hat = d_mean = 0.0
         if s.mode == "epi" and s.memory is not None:
             rr = s.memory.query(self.window, x, self.acts, cat)
             y_hat, d_mean = rr.y_hat, rr.d_mean
         self.cur = (x, self.acts, cat, y_hat)
-        self.obs = build_observation(x, self.acts, cat, y_hat, d_mean, s.mode, age=s.age)
+        self.obs = build_observation(x, self.acts, cat, y_hat, d_mean, s.mode)
 
     def _step(self) -> tuple:
         """Act once on the current observation; one row in _COLUMNS order."""

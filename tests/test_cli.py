@@ -1,6 +1,13 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from afferent.cli import _resolve_config, build_parser, main
+from afferent.config import parse_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MICRO = """
 m = 8
@@ -128,7 +135,7 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("evolution.rl_steps_short", -3), ("evolution.rl_steps_long", -3), ("dt", 50),
     ("ppo.hidden", 0), ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1),
     ("ppo.value_coef", -1), ("ppo.entropy_coef", -1), ("sim.steps", 0),
-    ("sim.repeats", 0),
+    ("sim.repeats", 0), ("evolution.popsize", 1), ("evolution.sigma0", 0),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""
@@ -143,6 +150,40 @@ def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and f"{key.lstrip('-').split('.')[-1]} must be" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mode", "plain"), ("use_memory", "false"), ("use_predictive", "false"),
+    ("memory_bias", "true"),
+])
+def test_removed_wiring_key_exits_2(key, value, tmp_path, capsys):
+    """The ablation arm is the only wiring switch; the old keys are unknown."""
+    path = tmp_path / "old.cfg"
+    path.write_text(MICRO + f"{key} = {value}\n")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown key '{key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_example_and_flags_hold():
+    text = README.read_text()
+    example = re.search(r"```\n# exp\.cfg\n(.*?)```", text, re.S).group(1)
+    cfg = parse_config(example)
+    assert cfg.m == 16 and cfg.ages == (20.0, 60.0, 80.0)
+    cli = text[text.index("## CLI"):]
+    cli = cli[:cli.index("\n## ", 1)]
+    usage = [ln for ln in text.splitlines() if ln.startswith("afferent ")]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", cli + "\n".join(usage)))
+    assert {"--config", "--out", "--jobs"} <= flags
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for line in usage:
+        assert line.split()[1] in subparsers.choices, line
+    for name, sub in subparsers.choices.items():
+        missing = flags - set(sub._option_string_actions)
+        assert not missing, f"{name} lacks documented flags {sorted(missing)}"
 
 
 def test_zero_predictive_weights_exit_2_before_ablate_writes(tmp_path, capsys):

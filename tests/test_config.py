@@ -32,7 +32,6 @@ def test_parse_scalars_and_groups():
         ages = 20,80        # trailing comment
         seeds = 0,1
         m = 8
-        use_predictive = false
         ppo.lr = 0.001
         ppo.hidden = 16,16
         reward.lambda_mem = 0
@@ -44,20 +43,11 @@ def test_parse_scalars_and_groups():
     assert cfg.ages == (20.0, 80.0)
     assert cfg.seeds == (0, 1)
     assert cfg.m == 8
-    assert cfg.use_predictive is False
     assert cfg.ppo.lr == 0.001
     assert cfg.ppo.hidden == (16, 16)
     assert cfg.reward.lambda_mem == 0.0
     assert cfg.fitness.eval_seeds == (11, 12)
     assert cfg.memory_eps_d == 1e-3
-
-
-def test_parse_booleans():
-    for text, want in (("true", True), ("1", True), ("yes", True),
-                       ("false", False), ("0", False), ("no", False)):
-        assert parse_config(f"memory_bias = {text}").memory_bias is want
-    with pytest.raises(ConfigError):
-        parse_config("memory_bias = maybe")
 
 
 def test_parse_errors_cite_line_numbers():
@@ -80,8 +70,6 @@ def test_semantic_validation():
         parse_config("ablation = everything\n")
     with pytest.raises(ConfigError):
         parse_config("scenario = mars\n")
-    with pytest.raises(ConfigError):
-        parse_config("mode = psychic\n")
     with pytest.raises(ConfigError):
         parse_config("ages = 10\n")
     with pytest.raises(ConfigError):
@@ -126,11 +114,9 @@ def _attribute(key: str) -> str:
 
 def _other_value(key: str, value):
     """A valid value for the key that differs from its default."""
-    named = {"scenario": "acl_deficient", "ablation": "no_cat", "mode": "base"}
+    named = {"scenario": "acl_deficient", "ablation": "no_cat"}
     if key in named:
         return named[key]
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, int):
         return value + 1
     if isinstance(value, float):
@@ -143,12 +129,12 @@ def _other_value(key: str, value):
 def _render(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return str(value).lower() if isinstance(value, bool) else str(value)
+    return str(value)
 
 
 def test_each_key_sets_exactly_its_field():
     stock = _flat(ExperimentConfig())
-    assert len(DEFAULTS) == 59
+    assert len(DEFAULTS) == 55
     for key, value in DEFAULTS.items():
         if key == "k":
             continue  # pinned to the twin's feature count, checked below

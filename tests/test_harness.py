@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from afferent.afferents import handcrafted_genome
-from afferent.config import ExperimentConfig
+from afferent.config import ABLATIONS, ExperimentConfig
 from afferent.errors import ConfigError
 from afferent.harness import (
     _parallel_map,
@@ -39,38 +39,30 @@ def micro_cfg(tmp_path, **kw):
 
 def test_variant_plan_wiring():
     cfg = ExperimentConfig()
-    full = variant_plan(cfg, "full")
-    assert full.mode == "epi" and full.use_memory and full.use_predictive
-    assert full.reward == cfg.reward
-
-    no_cat = variant_plan(cfg, "no_cat")
-    assert no_cat.mode == "plain"
-    assert not no_cat.use_memory and not no_cat.use_predictive
-    assert no_cat.reward.lambda_cat == 0.0 and no_cat.reward.lambda_mem == 0.0
-    assert no_cat.reward.lambda_d == cfg.reward.lambda_d
-
-    no_evo = variant_plan(cfg, "no_evolution")
-    assert no_evo == full  # same wiring, different genome upstream
-
-    no_amm = variant_plan(cfg, "no_amm")
-    assert no_amm.mode == "base" and not no_amm.use_memory
-    assert no_amm.use_predictive == cfg.use_predictive
-    assert no_amm.reward.lambda_mem == 0.0
-    assert no_amm.reward.lambda_cat == cfg.reward.lambda_cat
-
-    no_pred = variant_plan(cfg, "no_predictive")
-    assert no_pred.mode == cfg.mode and no_pred.use_memory == cfg.use_memory
-    assert not no_pred.use_predictive
-
+    stock = RewardParams(lambda_cat=2.0, lambda_d=5.0, lambda_mem=25.0)
+    want = {  # arm: (mode, memory, predictive, reward)
+        "full": ("epi", True, True, stock),
+        "no_cat": ("plain", False, False,
+                   RewardParams(lambda_cat=0.0, lambda_d=5.0, lambda_mem=0.0)),
+        "no_evolution": ("epi", True, True, stock),
+        "no_amm": ("base", False, True,
+                   RewardParams(lambda_cat=2.0, lambda_d=5.0, lambda_mem=0.0)),
+        "no_predictive": ("epi", True, False, stock),
+    }
+    assert tuple(want) == ABLATIONS
+    for arm, (mode, memory, predictive, reward) in want.items():
+        plan = variant_plan(cfg, arm)
+        assert (plan.mode, plan.use_memory, plan.use_predictive) == (mode, memory, predictive)
+        assert plan.reward == reward
+        armed = ExperimentConfig(ablation=arm)
+        assert armed.mode == variant_plan(armed, armed.ablation).mode == mode
+    # zeroing acts on the configured weights, not the stock ones
+    custom = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0,
+                                                  lambda_mem=7.0))
+    assert variant_plan(custom, "no_amm").reward == RewardParams(1.0, 3.0, 0.0)
+    assert variant_plan(custom, "full").reward == custom.reward
     with pytest.raises(ConfigError):
         variant_plan(cfg, "no_everything")
-
-
-def test_variant_plan_respects_config_toggles():
-    cfg = ExperimentConfig(use_memory=False, use_predictive=False, mode="base")
-    full = variant_plan(cfg, "full")
-    assert full.mode == "base" and not full.use_memory and not full.use_predictive
-    assert not variant_plan(cfg, "no_amm").use_predictive
 
 
 def test_resolve_genome_paths(tmp_path):

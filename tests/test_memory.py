@@ -10,7 +10,6 @@ from afferent.memory import (
     Window,
     RecallResult,
     _summarize,
-    apply_memory_bias,
     maybe_capture,
     recall_risk,
     retrieve,
@@ -347,14 +346,3 @@ def test_query_empty_paths():
     # a single query point cannot form a 2-step window
     res2 = store.query(window, [0.1, 0.1], [0.0, 0.0], 0.0)
     assert res2.y_hat == 0.0 and res2.d_mean == 0.0
-
-
-def test_memory_bias_blend_and_guards():
-    store = MemoryStore()
-    assert apply_memory_bias(0.5, store) == 0.5
-    for cat_hist in (0.2, 0.4):
-        store.insert([1.0, 0.0], 0.1, cat_hist)
-    assert apply_memory_bias(0.5, store) == 0.5  # fewer than 3 episodes
-    store.insert([1.0, 0.0], 0.1, 0.6)
-    got = apply_memory_bias(0.5, store)
-    assert got == pytest.approx(0.7 * 0.5 + 0.3 * 0.4, abs=1e-12)

@@ -26,7 +26,6 @@ from afferent.util import rng_for, softplus
 def test_obs_dim_modes():
     assert obs_dim("base", 3, 8) == 12
     assert obs_dim("epi", 3, 8) == 14
-    assert obs_dim("reduced", 3, 8) == 2
     assert obs_dim("plain", 3, 8) == 3
     with pytest.raises(ValidationError):
         obs_dim("rich", 3, 8)
@@ -39,14 +38,10 @@ def test_build_observation_layouts():
     assert np.array_equal(base, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     epi = build_observation(x, acts, 0.6, y_hat=0.7, d_mean=0.8, mode="epi")
     assert np.array_equal(epi, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-    red = build_observation(x, acts, 0.6, mode="reduced", age=55.0)
-    assert red == pytest.approx([0.6, 0.5])
     plain = build_observation(x, acts, 0.6, mode="plain")
     assert np.array_equal(plain, x)
     plain[0] = 9.0
     assert x[0] == 0.1  # plain mode returns a copy
-    with pytest.raises(ValidationError):
-        build_observation(x, acts, 0.6, mode="reduced")
     with pytest.raises(ValidationError):
         build_observation(x, acts, 0.6, mode="rich")
 
