@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .util import inv_softplus, sigmoid, softplus
+from .util import inv_softplus, sigmoid_array, softplus
 
 __all__ = [
     "AfferentArray",
@@ -43,6 +43,7 @@ class AfferentArray:
     v: np.ndarray  # convex aggregation weights
     dt: float
     beta: np.ndarray = field(init=False)  # dt / (tau + dt), the per-step update weight
+    keep: np.ndarray = field(init=False)  # 1 - beta, the weight kept on the last activation
 
     def __post_init__(self):
         self.W, self.alpha, self.theta, self.tau, self.v = (
@@ -63,6 +64,7 @@ class AfferentArray:
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         self.beta = self.dt / (self.tau + self.dt)
+        self.keep = 1.0 - self.beta
 
     @property
     def m(self) -> int:
@@ -150,13 +152,14 @@ def compute_cat(arr: AfferentArray, acts: np.ndarray, x: np.ndarray):
     Returns (cat, next_acts), where next_acts is a new array and
     cat = sum_i v_i a_i over it lies in [0, 1]; acts is left unchanged.
     """
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
     if x.shape != arr.W.shape[1:]:
         raise ValidationError("feature vector length %d, expected %d" % (x.size, arr.k))
     if not all(map(math.isfinite, x.tolist())):
         raise ValidationError("feature vector contains non-finite values")
-    innovation = sigmoid(arr.alpha * (arr.W @ x - arr.theta))
-    next_acts = (1.0 - arr.beta) * acts + arr.beta * innovation
+    innovation = sigmoid_array(arr.alpha * (arr.W @ x - arr.theta))
+    next_acts = arr.keep * acts + arr.beta * innovation
     return float(arr.v @ next_acts), next_acts
 
 

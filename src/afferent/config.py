@@ -129,6 +129,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.evo_popsize < 2:
             raise ConfigError("evolution.popsize must be >= 2")
+        if self.pred_samples < 8:  # the safe model's design: x (3), action, context (3), bias
+            raise ConfigError("predictive.samples must be >= 8")
+        for key, values in (("seeds", self.seeds), ("ages", self.ages),
+                            ("eval.seeds", self.eval_seeds),
+                            ("evolution.eval_seeds", self.fitness.eval_seeds)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must be distinct")
         for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),
                             ("eval.seeds", self.eval_seeds),
                             ("predictive.seed", (self.pred_seed,)),

@@ -4,12 +4,14 @@ Scenario- and age-parameterized generation of [stress, strain, shear]
 features over a gait cycle, cumulative damage accumulation with an
 age-shrinking safe-load threshold, and a step interface for policy learning.
 Noise is counter-based (Philox keyed by seed with the step index as counter)
-so trajectories are bit-for-bit reproducible and trivially parallel.
+so trajectories are bit-for-bit reproducible and trivially parallel.  The
+state and a step's result are immutable named tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +67,7 @@ SCENARIOS = {
 }
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
     """Value-like environment state; step returns a new instance."""
 
     t: int
@@ -76,12 +77,18 @@ class EnvState:
     rng_seed: int
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     x_next: np.ndarray
     delta_d: float
     task_reward: float
     done: bool
+
+
+# sin and cos of the gait phase 2 pi t / GAIT_PERIOD, as floats indexed by t % GAIT_PERIOD
+_PHASE = 2.0 * np.pi * np.arange(GAIT_PERIOD) / GAIT_PERIOD
+SIN_PHASE = np.sin(_PHASE).tolist()
+COS_PHASE = np.cos(_PHASE).tolist()
+_SIN_LEAD = np.sin(_PHASE + np.pi / 3.0).tolist()
 
 
 # (seed, Philox, its Generator, its fresh state) of the last seed drawn from;
@@ -112,25 +119,24 @@ def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndar
     """Generate [stress, strain, shear] at the state's current step index."""
     if not 0.0 <= action <= 1.0:
         raise ValidationError("action must lie in [0, 1]")
-    # Python floats round as numpy's float64 scalars do; sin stays numpy's.
-    phi = 2.0 * np.pi * (state.t % GAIT_PERIOD) / GAIT_PERIOD
-    sin_phi = float(np.sin(phi))
+    # Python floats round as numpy's float64 scalars do; the sines are numpy's.
+    phase = state.t % GAIT_PERIOD
+    sin_phi = SIN_PHASE[phase]
     age_mult = 1.0 + 0.01 * (state.age - 20.0)
     eta = _noise(state.rng_seed, state.t, cfg.noise_sd).tolist()
     stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
-    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * float(np.sin(phi + np.pi / 3.0))) + eta[1]
-    shear = (
-        cfg.shear_mult * age_mult * action * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability)
-        + eta[2]
-    )
+    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * _SIN_LEAD[phase]) + eta[1]
+    shear = (cfg.shear_mult * age_mult * action
+             * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability) + eta[2])
     # min/max clip each value as np.clip does: the sums are never -0.0, the
     # one input on which the two could differ
-    return np.array([min(max(v, 0.0), 1.0) for v in (stress, strain, shear)])
+    return np.array([min(max(stress, 0.0), 1.0), min(max(strain, 0.0), 1.0),
+                     min(max(shear, 0.0), 1.0)])
 
 
 def damage_increment(x: np.ndarray, action: float, age: float) -> float:
     """Quadratic excess-load damage with an age-shrinking safe threshold."""
-    stress, strain, shear = float(x[0]), float(x[1]), float(x[2])
+    stress, strain, shear = x.tolist()
     load = 0.5 * stress + 0.3 * shear + 0.2 * strain
     safe = max(0.2, 0.6 - 0.004 * (age - 20.0))
     return 0.01 * max(0.0, load - safe) ** 2
@@ -150,17 +156,14 @@ def reset(cfg: ScenarioConfig, age: float, seed: int) -> EnvState:
     if not AGE_MIN <= age <= AGE_MAX:
         raise ValidationError("age must lie in [%g, %g]" % (AGE_MIN, AGE_MAX))
     age, seed = float(age), int(seed)
-    blank = EnvState(t=0, x=np.zeros(3), damage=0.0, age=age, rng_seed=seed)
-    return EnvState(t=0, x=gen_features(blank, 0.0, cfg), damage=0.0, age=age,
-                    rng_seed=seed)
+    blank = EnvState(0, np.zeros(3), 0.0, age, seed)
+    return blank._replace(x=gen_features(blank, 0.0, cfg))
 
 
 def step(state: EnvState, action: float, cfg: ScenarioConfig, episode_len: int = EPISODE_LEN):
     """Advance one step: generate features, accumulate damage, increment t."""
+    t, _, damage, age, seed = state
     x_next = gen_features(state, action, cfg)
-    dd = damage_increment(x_next, action, state.age)
-    reward = task_reward(action, state.age)
-    new_state = EnvState(t=state.t + 1, x=x_next, damage=state.damage + dd, age=state.age,
-                         rng_seed=state.rng_seed)
-    done = new_state.t >= episode_len
-    return new_state, StepResult(x_next=x_next, delta_d=dd, task_reward=reward, done=done)
+    dd = damage_increment(x_next, action, age)
+    return (EnvState(t + 1, x_next, damage + dd, age, seed),
+            StepResult(x_next, dd, task_reward(action, age), t + 1 >= episode_len))

@@ -10,25 +10,28 @@ linear-scan kNN under cosine distance, and recall risk is the
 inverse-distance-weighted mean of retrieved future-damage values.
 
 The query path reads preallocated arrays, never per-call stacks.  The store
-holds its finalized episodes as row-aligned columns of capacity rows, oldest
-first: the (capacity x key_dim) ``keys`` matrix and the ``delta`` (summed
-future damage) and ``cat_hist`` (mean CAT of the capture window) vectors, row
-i of each belonging to the same episode.  ``insert`` is their only writer and
-shifts every column up by one row on eviction, so retrieval is one
-matrix-vector product on the first len(store) rows, the stable sort still
-breaks ties by age, and recall reads ``delta`` at the retrieved rows.  The
-rolling window keeps its steps as [x | activations | cat] rows of one fixed
-array in chronological order, with one spare row for a query's current step,
-and keys are summarized from views of those rows.  The rows hold the same
-bytes in the same order as stacking the per-episode and per-step arrays, and
-means and norms are the reductions ``.mean`` and ``np.linalg.norm`` run, so
-keys are bit-identical to the stacking oracle in ``tests/test_memory.py``.
+holds its finalized episodes as row-aligned columns, oldest first: the
+(len(store) x key_dim) ``keys`` matrix and the ``delta`` (summed future
+damage) and ``cat_hist`` (mean CAT of the capture window) vectors, row i of
+each belonging to the same episode.  They are views of the live rows of
+buffers of twice the capacity: ``insert`` writes past the newest row, evicts
+by moving the view on, and copies the live rows back to the front once per
+capacity inserts, when the buffer runs out.  Retrieval is one matrix-vector
+product on ``keys`` (its bits do not depend on the start row), the stable sort
+still breaks ties by age, and recall reads ``delta`` at the retrieved rows.
+The rolling window keeps its steps as [x | activations | cat] rows of one
+fixed array in chronological order, with one spare row for a query's current
+step, and keys are summarized from views of those rows.  The rows hold the
+same bytes in the same order as stacking the per-episode and per-step arrays,
+and means and norms are the reductions ``.mean`` and ``np.linalg.norm`` run,
+so keys are bit-identical to the stacking oracle in ``tests/test_memory.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -126,11 +129,11 @@ class Window:
 class MemoryStore:
     """Capacity-bounded FIFO store of finalized episodes.
 
-    Rows [0, n) of ``keys``, ``delta`` and ``cat_hist`` are the finalized
-    episodes, oldest first; the key matrix is allocated by the first insert,
-    which fixes key_dim.  The store also holds its policy: queries retrieve
-    k_ret episodes, and a step triggers a capture when its damage increment
-    exceeds eps_d or its CAT exceeds kappa_cat.
+    ``keys``, ``delta`` and ``cat_hist`` are views of the len(store) live
+    rows, oldest first, of buffers of 2 x capacity rows; the key buffer is
+    allocated by the first insert, which fixes key_dim.  The store also holds
+    its policy: queries retrieve k_ret episodes, and a step triggers a capture
+    when its damage increment exceeds eps_d or its CAT exceeds kappa_cat.
     """
 
     def __init__(self, capacity: int = CAPACITY, k_ret: int = K_RET,
@@ -142,9 +145,9 @@ class MemoryStore:
         self.eps_d = eps_d
         self.kappa_cat = kappa_cat
         self.n = 0
-        self.keys: np.ndarray | None = None
-        self.delta = np.empty(self.capacity)
-        self.cat_hist = np.empty(self.capacity)
+        self._start = 0  # buffer row of the oldest live episode
+        self._bufs = None  # the keys, delta and cat_hist buffers
+        self.keys = self.delta = self.cat_hist = np.empty(0)
 
     def __len__(self) -> int:
         return self.n
@@ -152,20 +155,22 @@ class MemoryStore:
     def insert(self, key, delta: float, cat_hist: float) -> None:
         """Append one finalized episode, evicting the oldest when full."""
         key = np.asarray(key, dtype=float)
-        if self.keys is None:
-            self.keys = np.empty((self.capacity, key.size))
-        if key.shape != self.keys.shape[1:]:
+        if self._bufs is None:
+            self._bufs = [np.empty((2 * self.capacity, *shape)) for shape in (key.shape, (), ())]
+        if key.shape != self._bufs[0].shape[1:]:
             raise ValidationError(
                 f"key shape {key.shape} does not match the store's key_dim "
-                f"{self.keys.shape[1]}")
-        if self.n == self.capacity:
-            for col in (self.keys, self.delta, self.cat_hist):
-                col[:-1] = col[1:]
-            self.n -= 1
-        self.keys[self.n] = key
-        self.delta[self.n] = delta
-        self.cat_hist[self.n] = cat_hist
-        self.n += 1
+                f"{self._bufs[0].shape[1]}")
+        start, n = self._start, self.n
+        if start + n == 2 * self.capacity:  # out of rows: copy the live rows to the front
+            for buf in self._bufs:
+                buf[:n] = buf[start:]
+            start = 0
+        for buf, value in zip(self._bufs, (key, delta, cat_hist)):
+            buf[start + n] = value
+        self._start, self.n = (start + 1, n) if n == self.capacity else (start, n + 1)
+        self.keys, self.delta, self.cat_hist = (
+            buf[self._start:self._start + self.n] for buf in self._bufs)
 
     def query(self, window: Window, x, activations, cat) -> RecallResult:
         """Recall risk for the stream's current context before it is recorded.
@@ -245,7 +250,7 @@ def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
     n = store.n
     if not n:
         return np.empty(0, dtype=int), np.empty(0)
-    dist = store.keys[:n] @ key
+    dist = store.keys @ key
     np.subtract(1.0, dist, out=dist)
     # Only distances up to the k-th smallest can be kept; a stable sort of
     # those, taken in index order, breaks ties by age as a full sort does.
@@ -258,11 +263,13 @@ def retrieve(store: MemoryStore, key: np.ndarray, k_ret: int = K_RET):
 
 def recall_risk(deltas: np.ndarray, dist: np.ndarray) -> RecallResult:
     """Inverse-distance-weighted mean of retrieved future-damage values."""
-    if not dist.size:
+    d = dist.tolist()
+    if not d:
         return RecallResult(0.0, 0.0)
-    if (dist < 0).any():
+    if min(d) < 0:
         raise ValidationError("negative retrieval distance")
-    w = 1.0 / (dist + EPS_WEIGHT)
-    w /= np.add.reduce(w)
-    return RecallResult(float(w @ deltas), float(np.add.reduce(dist) / dist.size))
+    w = [1.0 / (v + EPS_WEIGHT) for v in d]
+    # np.add.reduce adds fewer than 8 values one by one in order, as reduce does
+    total = partial(reduce, float.__add__) if len(d) < 8 else np.add.reduce
+    return RecallResult(float(np.divide(w, total(w)) @ deltas), float(total(d) / len(d)))
 

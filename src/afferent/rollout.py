@@ -53,8 +53,8 @@ __all__ = [
 
 def gait_context(t: int, age: float) -> np.ndarray:
     """Context vector s_t = [sin phase, cos phase, age_norm] for the safe model."""
-    phi = 2.0 * np.pi * (t % twin.GAIT_PERIOD) / twin.GAIT_PERIOD
-    return np.array([np.sin(phi), np.cos(phi), (age - 20.0) / 70.0])
+    phase = t % twin.GAIT_PERIOD
+    return np.array([twin.SIN_PHASE[phase], twin.COS_PHASE[phase], (age - 20.0) / 70.0])
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ would otherwise force an .npz suffix).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .afferents import Genome
 from .errors import ValidationError
@@ -56,11 +56,15 @@ ROLLOUT_SCHEMA = {
     "additionalProperties": False,
 }
 
-_VALIDATOR = Draft202012Validator(ROLLOUT_SCHEMA)
+
+@functools.cache
+def _validator():
+    from jsonschema import Draft202012Validator  # 80 ms to import; only simulate validates
+    return Draft202012Validator(ROLLOUT_SCHEMA)
 
 
 def validate_rollout_line(obj: dict) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(obj), key=str)
+    errors = sorted(_validator().iter_errors(obj), key=str)
     if errors:
         raise ValidationError(f"rollout record invalid: {errors[0].message}")
 

@@ -6,6 +6,7 @@ import numpy as np
 
 __all__ = [
     "sigmoid",
+    "sigmoid_array",
     "softplus",
     "inv_softplus",
     "rng_for",
@@ -16,20 +17,20 @@ __all__ = [
 def sigmoid(x):
     """Numerically stable logistic function, exact 0/1 in the saturated tails.
 
-    e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each side
-    of the where is the branch that cannot overflow.  A float takes the same
-    steps on float64 scalars, which round as the array path does.
+    sigmoid(x) = exp(min(x, 0)) / (1 + e), e = exp(-|x|): the numerator is
+    exactly 1 where x >= 0 and e elsewhere, so neither exp overflows.  A float
+    picks the numerator, 1.0 or e, on float64 scalars, which round alike.
     """
     if isinstance(x, float):
         e = np.exp(-abs(x))
         return float((1.0 if x >= 0 else e) / (1.0 + e))
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    out = np.where(x >= 0, 1.0, e) / d
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = sigmoid_array(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """sigmoid of a float64 array, with no conversion of its input or output."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def softplus(x):

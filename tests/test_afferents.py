@@ -171,6 +171,30 @@ def test_compute_cat_one_step_matches_formula():
     assert cat == pytest.approx(float(np.dot(arr.v, acts)), abs=1e-15)
 
 
+def test_compute_cat_equals_formula_bits():
+    # Reference: the where-form logistic, then the leaky update with 1 - beta
+    # computed in place.
+    def reference(arr, acts, x):
+        z = arr.alpha * (arr.W @ np.asarray(x, dtype=float) - arr.theta)
+        e = np.exp(-np.abs(z))
+        innovation = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        nxt = (1.0 - arr.beta) * acts + arr.beta * innovation
+        return float(arr.v @ nxt), nxt
+
+    rng = rng_for(8, 90)
+    for trial in range(300):
+        m, dt = int(rng.integers(1, 70)), float(rng.choice([0.25, 1.0, 3.0]))
+        arr = decode_genome(random_genome(m, 3, seed=trial, scale=3.0), dt=dt)
+        acts = rng.uniform(0.0, 1.0, m)
+        x = rng.uniform(0.0, 1.0, 3)
+        # an ndarray, a list and a float32 array take the conversion path
+        for given in (x, x.tolist(), x.astype(np.float32)):
+            cat, nxt = compute_cat(arr, acts, given)
+            want_cat, want = reference(arr, acts, given)
+            assert cat == want_cat and nxt.tobytes() == want.tobytes()
+    assert np.array_equal(arr.keep, 1.0 - arr.beta)
+
+
 def test_compute_cat_bounds_and_state():
     arr = decode_genome(random_genome(8, 3, seed=4), dt=1.0)
     rng = rng_for(5, 90)

@@ -136,6 +136,9 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("ppo.hidden", 0), ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1),
     ("ppo.value_coef", -1), ("ppo.entropy_coef", -1), ("sim.steps", 0),
     ("sim.repeats", 0), ("evolution.popsize", 1), ("evolution.sigma0", 0),
+    ("seeds", "1,1"), ("ages", "60,60.0"), ("eval.seeds", "701,702,701"),
+    ("evolution.eval_seeds", "901,901"), ("predictive.samples", 0),
+    ("predictive.samples", 7),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""

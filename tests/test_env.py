@@ -1,12 +1,16 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from afferent.env import (
+    COS_PHASE,
     EPISODE_LEN,
+    GAIT_PERIOD,
     SCENARIOS,
+    SIN_PHASE,
     EnvState,
+    StepResult,
     _noise,
     damage_increment,
     gen_features,
@@ -135,8 +139,74 @@ def test_step_advances_and_accumulates():
 
 def test_step_done_at_episode_len():
     s = reset(QUIET, 30.0, seed=0)
-    s = replace(s, t=EPISODE_LEN - 1)
+    s = s._replace(t=EPISODE_LEN - 1)
     _, res = step(s, 0.5, QUIET)
     assert res.done
     _, res2 = step(reset(QUIET, 30.0, seed=0), 0.5, QUIET, episode_len=1)
     assert res2.done
+
+
+@dataclass(frozen=True)
+class _RefState:
+    t: int
+    x: np.ndarray
+    damage: float
+    age: float
+    rng_seed: int
+
+
+def _ref_features(state, action, cfg):
+    """Reference gen_features: numpy's sin on each call, then np.clip."""
+    phi = 2.0 * np.pi * (state.t % GAIT_PERIOD) / GAIT_PERIOD
+    sin_phi = float(np.sin(phi))
+    age_mult = 1.0 + 0.01 * (state.age - 20.0)
+    eta = _noise(state.rng_seed, state.t, cfg.noise_sd).tolist()
+    stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
+    strain = (cfg.strain_mult * age_mult * action
+              * (0.40 + 0.20 * float(np.sin(phi + np.pi / 3.0))) + eta[1])
+    shear = (cfg.shear_mult * age_mult * action
+             * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability) + eta[2])
+    return np.clip(np.array([stress, strain, shear]), 0.0, 1.0)
+
+
+def _ref_step(state, action, cfg, episode_len):
+    """Reference step on a frozen-dataclass state."""
+    x_next = _ref_features(state, action, cfg)
+    stress, strain, shear = float(x_next[0]), float(x_next[1]), float(x_next[2])
+    load = 0.5 * stress + 0.3 * shear + 0.2 * strain
+    dd = 0.01 * max(0.0, load - max(0.2, 0.6 - 0.004 * (state.age - 20.0))) ** 2
+    reward = action - 0.5 * max(0.0, action - (0.8 - 0.003 * (state.age - 20.0))) ** 2
+    new = _RefState(t=state.t + 1, x=x_next, damage=state.damage + dd, age=state.age,
+                    rng_seed=state.rng_seed)
+    return new, (x_next, dd, reward, new.t >= episode_len)
+
+
+def test_phase_tables_equal_numpy_per_step():
+    for t in range(3 * GAIT_PERIOD):
+        phi = 2.0 * np.pi * (t % GAIT_PERIOD) / GAIT_PERIOD
+        assert SIN_PHASE[t % GAIT_PERIOD] == float(np.sin(phi))
+        assert COS_PHASE[t % GAIT_PERIOD] == float(np.cos(phi))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_step_equals_dataclass_reference_bits(name):
+    cfg = SCENARIOS[name]
+    rng = np.random.default_rng(17)
+    episode_len = 150
+    for age in (20.0, 57.5, 90.0):
+        seed = int(rng.integers(0, 2**62))
+        state = reset(cfg, age, seed)
+        ref = _RefState(t=0, x=_ref_features(_RefState(0, None, 0.0, age, seed), 0.0, cfg),
+                        damage=0.0, age=age, rng_seed=seed)
+        assert state.x.tobytes() == ref.x.tobytes()
+        for _ in range(400):
+            action = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            state, res = step(state, action, cfg, episode_len)
+            ref, (x_next, dd, reward, done) = _ref_step(ref, action, cfg, episode_len)
+            assert isinstance(state, EnvState) and isinstance(res, StepResult)
+            assert (state.t, state.damage, state.age, state.rng_seed) == (
+                ref.t, ref.damage, ref.age, ref.rng_seed)
+            assert state.x.tobytes() == res.x_next.tobytes() == x_next.tobytes()
+            assert (res.delta_d, res.task_reward, res.done) == (dd, reward, done)
+            if done:
+                state, ref = reset(cfg, age, seed), replace(ref, t=0, damage=0.0)

@@ -259,6 +259,33 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
         store.insert(pool[0][:3], 0.0, 0.0)
 
 
+def test_store_equals_stacked_oracle_through_slide_backs():
+    # The live rows are views into a buffer of 2 x capacity rows, moved back to
+    # its front when it runs out; every step must still match a fresh stack of
+    # the last capacity inserts, duplicates tying oldest first.
+    rng = np.random.default_rng(12)
+    capacity, dim = 5, 9
+    pool = rng.normal(size=(3, dim))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    queries = np.vstack([pool, rng.normal(size=(2, dim))])
+    store = MemoryStore(capacity=capacity)
+    oracle, slide_backs = [], 0
+    for t in range(8 * capacity + 3):
+        row = (pool[rng.integers(3)], float(t), float(rng.uniform()))
+        start = store._start
+        store.insert(*row)
+        slide_backs += store._start < start
+        oracle = (oracle + [row])[-capacity:]
+        keys, deltas, cat_hists = (list(col) for col in zip(*oracle))
+        assert len(store) == len(oracle)
+        assert store.keys.tobytes() == np.stack(keys).tobytes()
+        assert store.delta.tolist() == deltas and store.cat_hist.tolist() == cat_hists
+        for q in queries:
+            for k_ret in (1, 3, capacity):
+                assert _retrieved(store, q, k_ret) == _stacked_retrieve(keys, deltas, q, k_ret)
+    assert slide_backs >= 3
+
+
 def test_query_after_end_episode_uses_only_new_steps():
     rng = np.random.default_rng(5)
     store, window = MemoryStore(), Window()
@@ -304,12 +331,20 @@ def test_recall_risk_equals_mean_and_any_form_bits():
         w = w / w.sum()
         return RecallResult(float(w @ deltas), float(d.mean()))
 
+    # Reference: the weights and both sums as numpy reductions.
+    def reduce_form(deltas, dist):
+        w = 1.0 / (dist + EPS_WEIGHT)
+        w /= np.add.reduce(w)
+        return RecallResult(float(w @ deltas), float(np.add.reduce(dist) / dist.size))
+
     rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 7, 8, 9, 13):
-        for _ in range(200):
-            dist = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-8, 1)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 13):
+        for _ in range(400):
+            dist = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.integers(-8, 1, n)
             deltas = rng.uniform(0.0, 1e-2, n)
-            assert recall_risk(deltas, dist) == reference(deltas, dist)
+            got = recall_risk(deltas, dist)
+            assert got == reference(deltas, dist) == reduce_form(deltas, dist)
+            assert type(got.y_hat) is type(got.d_mean) is float
     with pytest.raises(ValidationError):
         recall_risk(np.ones(3), np.array([0.1, -0.0, -1e-300]))
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afferent
 from afferent.afferents import Genome, handcrafted_genome
 from afferent.errors import ValidationError
 from afferent.policy import init_policy
@@ -54,6 +59,16 @@ def test_schema_rejects_bad_lines(mutate):
     mutate(bad)
     with pytest.raises(ValidationError):
         validate_rollout_line(bad)
+
+
+def test_cli_and_harness_import_without_jsonschema():
+    # Only simulate validates rollout lines, so no other command pays the import.
+    src = str(Path(afferent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, afferent.cli, afferent.harness; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_jsonl_round_trip_and_sorted_keys(tmp_path):
