@@ -152,8 +152,7 @@ def compute_cat(arr: AfferentArray, acts: np.ndarray, x: np.ndarray):
     Returns (cat, next_acts), where next_acts is a new array and
     cat = sum_i v_i a_i over it lies in [0, 1]; acts is left unchanged.
     """
-    if type(x) is not np.ndarray or x.dtype != np.float64:
-        x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.shape != arr.W.shape[1:]:
         raise ValidationError("feature vector length %d, expected %d" % (x.size, arr.k))
     if not all(map(math.isfinite, x.tolist())):

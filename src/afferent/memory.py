@@ -12,26 +12,22 @@ inverse-distance-weighted mean of retrieved future-damage values.
 The query path reads preallocated arrays, never per-call stacks.  The store
 holds its finalized episodes as row-aligned columns, oldest first: the
 (len(store) x key_dim) ``keys`` matrix and the ``delta`` (summed future
-damage) and ``cat_hist`` (mean CAT of the capture window) vectors, row i of
-each belonging to the same episode.  They are views of the live rows of
-buffers of twice the capacity: ``insert`` writes past the newest row, evicts
-by moving the view on, and copies the live rows back to the front once per
-capacity inserts, when the buffer runs out.  Retrieval is one matrix-vector
-product on ``keys`` (its bits do not depend on the start row), the stable sort
-still breaks ties by age, and recall reads ``delta`` at the retrieved rows.
-The rolling window keeps its steps as [x | activations | cat] rows of one
-fixed array in chronological order, with one spare row for a query's current
-step, and keys are summarized from views of those rows.  The rows hold the
-same bytes in the same order as stacking the per-episode and per-step arrays,
-and means and norms are the reductions ``.mean`` and ``np.linalg.norm`` run,
-so keys are bit-identical to the stacking oracle in ``tests/test_memory.py``.
+damage) and ``cat_hist`` (mean CAT of the capture window) vectors, views of
+the live rows of buffers of twice the capacity.  ``insert`` writes past the
+newest row, evicts by moving the views on, and copies the live rows to the
+front once per capacity inserts.  Retrieval is one matrix-vector product on
+``keys``, whose bits do not depend on the start row.  The rolling window
+keeps its steps as [x | activations | cat] rows of one array, oldest first,
+with a spare row for a query's current step.  The rows hold the bytes of
+stacking the per-episode and per-step arrays, and means and norms are the
+reductions ``.mean`` and ``np.linalg.norm`` run, so keys are bit-identical
+to the stacking oracle in ``tests/test_memory.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
 
 import numpy as np
 
@@ -156,7 +152,8 @@ class MemoryStore:
         """Append one finalized episode, evicting the oldest when full."""
         key = np.asarray(key, dtype=float)
         if self._bufs is None:
-            self._bufs = [np.empty((2 * self.capacity, *shape)) for shape in (key.shape, (), ())]
+            rows = 2 * self.capacity
+            self._bufs = [np.empty((rows, key.size)), np.empty(rows), np.empty(rows)]
         if key.shape != self._bufs[0].shape[1:]:
             raise ValidationError(
                 f"key shape {key.shape} does not match the store's key_dim "
@@ -266,10 +263,8 @@ def recall_risk(deltas: np.ndarray, dist: np.ndarray) -> RecallResult:
     d = dist.tolist()
     if not d:
         return RecallResult(0.0, 0.0)
-    if min(d) < 0:
+    if any(v < 0 for v in d):  # not min(d): a NaN ahead of a negative would hide it
         raise ValidationError("negative retrieval distance")
-    w = [1.0 / (v + EPS_WEIGHT) for v in d]
-    # np.add.reduce adds fewer than 8 values one by one in order, as reduce does
-    total = partial(reduce, float.__add__) if len(d) < 8 else np.add.reduce
-    return RecallResult(float(np.divide(w, total(w)) @ deltas), float(total(d) / len(d)))
-
+    w = 1.0 / (dist + EPS_WEIGHT)
+    w /= np.add.reduce(w)
+    return RecallResult(float(w @ deltas), float(np.add.reduce(dist)) / len(d))

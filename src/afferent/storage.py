@@ -9,7 +9,6 @@ would otherwise force an .npz suffix).
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from pathlib import Path
 
@@ -57,14 +56,10 @@ ROLLOUT_SCHEMA = {
 }
 
 
-@functools.cache
-def _validator():
-    from jsonschema import Draft202012Validator  # 80 ms to import; only simulate validates
-    return Draft202012Validator(ROLLOUT_SCHEMA)
-
-
 def validate_rollout_line(obj: dict) -> None:
-    errors = sorted(_validator().iter_errors(obj), key=str)
+    # imported here: jsonschema takes 80 ms to import, and only simulate validates
+    from jsonschema import Draft202012Validator
+    errors = sorted(Draft202012Validator(ROLLOUT_SCHEMA).iter_errors(obj), key=str)
     if errors:
         raise ValidationError(f"rollout record invalid: {errors[0].message}")
 

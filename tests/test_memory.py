@@ -259,6 +259,14 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
         store.insert(pool[0][:3], 0.0, 0.0)
 
 
+@pytest.mark.parametrize("key", [np.ones((2, 3)), np.float64(1.0)])
+def test_first_key_must_be_a_vector(key):
+    store = MemoryStore(capacity=3)
+    with pytest.raises(ValidationError, match="key_dim"):
+        store.insert(key, 0.0, 0.0)
+    assert len(store) == 0
+
+
 def test_store_equals_stacked_oracle_through_slide_backs():
     # The live rows are views into a buffer of 2 x capacity rows, moved back to
     # its front when it runs out; every step must still match a fresh stack of
@@ -345,8 +353,9 @@ def test_recall_risk_equals_mean_and_any_form_bits():
             got = recall_risk(deltas, dist)
             assert got == reference(deltas, dist) == reduce_form(deltas, dist)
             assert type(got.y_hat) is type(got.d_mean) is float
-    with pytest.raises(ValidationError):
-        recall_risk(np.ones(3), np.array([0.1, -0.0, -1e-300]))
+    for dist in ([0.1, -0.0, -1e-300], [np.nan, -1e-3]):
+        with pytest.raises(ValidationError):
+            recall_risk(np.ones(len(dist)), np.array(dist))
 
 
 def test_recall_risk_edge_cases():
