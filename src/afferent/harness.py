@@ -14,13 +14,14 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
 from . import env as twin
 from .afferents import Genome, compute_cat, decode_genome, handcrafted_genome
 from .config import ABLATIONS, ARMS, ExperimentConfig
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, ValidationError
 from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
 from .metrics import (
@@ -89,12 +90,20 @@ def resolve_predictive(cfg: ExperimentConfig):
     return model, disc
 
 
+def _load_checkpoint(load, key: str, path: str):
+    """load(path) of the file config key names; missing or malformed is a ConfigError."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{key} file not found: {path}")
+    try:
+        return load(path)
+    except (ValueError, EOFError, LookupError, TypeError, BadZipFile, ValidationError) as exc:
+        raise ConfigError(f"{key} file {path} is not a {key} checkpoint: {exc}") from exc
+
+
 def _resolve_genome(cfg: ExperimentConfig) -> Genome:
     if cfg.genome:
-        path = Path(cfg.genome)
-        if not path.is_file():
-            raise ConfigError(f"genome file not found: {path}")
-        genome, _ = load_genome(path)
+        genome, _ = _load_checkpoint(load_genome, "genome", cfg.genome)
         if genome.m != cfg.m or genome.k != cfg.k:
             raise ConfigError(
                 f"genome shape ({genome.m}, {genome.k}) does not match config "
@@ -370,10 +379,7 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     out = Path(cfg.out)
     if not cfg.policy:
         raise ConfigError("evaluate requires policy = <path to .bin checkpoint>")
-    path = Path(cfg.policy)
-    if not path.is_file():
-        raise ConfigError(f"policy file not found: {path}")
-    policy = load_policy(path)
+    policy = _load_checkpoint(load_policy, "policy", cfg.policy)
     plan, genome, model, disc = _arm_inputs(cfg)
     if policy.mode != plan.mode:
         raise ConfigError(

@@ -90,10 +90,11 @@ class EpisodeStats:
 class Runner:
     """One agent stream; collect advances environment, sensors, and memory.
 
-    Training captures memory episodes and seeds its episodes from stream 3;
-    a frozen (capture=False) evaluation stream only records its window, from
+    With a store, each sensed step is recorded once in the runner's window,
+    before its query.  Training also captures memory episodes and seeds its
+    episodes from stream 3, a frozen (capture=False) evaluation stream from
     stream 5.  Every episode starts with zero activations and an empty
-    window of the runner's own, so no stream sees another's steps.
+    window, so no stream sees another's steps.
     """
 
     def __init__(self, setup: AgentSetup, policy: PolicyParams, seed: int,
@@ -117,7 +118,7 @@ class Runner:
         self._compute_current()
 
     def _compute_current(self) -> None:
-        """Sense the current features into the observation bundle."""
+        """Sense the current features, record them, and build the observation."""
         s = self.setup
         x = self.state.x
         cat = 0.0
@@ -132,31 +133,30 @@ class Runner:
                     delta = discrepancy(x, x_hat, s.disc)
                 cat = combine_cat(cat, pred_signal(delta, s.disc), s.disc)
         y_hat = d_mean = 0.0
-        if s.mode == "epi" and s.memory is not None:
-            rr = s.memory.query(self.window, x, self.acts, cat)
-            y_hat, d_mean = rr.y_hat, rr.d_mean
-        self.cur = (x, self.acts, cat, y_hat)
+        if s.memory is not None:
+            self.window.push(x, self.acts, cat)
+            if s.mode == "epi":
+                rr = s.memory.query(self.window)
+                y_hat, d_mean = rr.y_hat, rr.d_mean
+        self.cur = (cat, y_hat)
         self.obs = build_observation(x, self.acts, cat, y_hat, d_mean, s.mode)
 
     def _step(self) -> tuple:
         """Act once on the current observation; one row in _COLUMNS order."""
         s = self.setup
-        x, acts, cat, y_hat = self.cur
+        cat, y_hat = self.cur
+        x, t_act = self.state.x, self.state.t
         action, logp, z = sample_action_z(self.policy, self.obs, self.action_rng)
-        t_act = self.state.t
         self.state, res = twin.step(self.state, action, s.scenario, s.episode_len)
         reward = shaped_reward(res.task_reward, cat, res.delta_d, y_hat, s.reward)
-        if s.memory is not None:
-            if self.capture:
-                maybe_capture(s.memory, self.window, x, acts, cat, res.delta_d)
-            else:
-                self.window.push(x, acts, cat)
+        if self.capture and s.memory is not None:
+            maybe_capture(s.memory, self.window, cat, res.delta_d)
+            if res.done:
+                s.memory.end_episode(self.window)
         self.prev = (x, action, t_act)
         row = (self.obs, z, logp, reward, float(res.done), cat, res.delta_d, action,
                res.task_reward, self.state.damage, y_hat)
         if res.done:
-            if self.capture and s.memory is not None:
-                s.memory.end_episode(self.window)
             self.episode_idx += 1
             self._begin_episode()
         else:

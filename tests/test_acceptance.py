@@ -143,7 +143,7 @@ def test_retrieval_against_brute_force():
         deltas = rng.uniform(0.0, 0.01, size)
         store = MemoryStore(capacity=1000)
         for j in range(size):
-            store.insert(keys[j], float(deltas[j]), 0.0)
+            store.insert(keys[j], float(deltas[j]))
         q = rng.normal(size=dim)
         q /= np.linalg.norm(q)
 

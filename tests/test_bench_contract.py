@@ -88,3 +88,16 @@ def test_traced_calls_match_the_bench_counts(entry, expected, traced_calls, tmp_
     want = getattr(workloads, expected)(cfg)
     assert want["env.step"] > 0 and want["nets.MLP.forward"] > 0
     assert +traced_calls == +want
+
+
+def test_traced_ablation_calls_match_the_bench_counts(traced_calls, tmp_path):
+    # The grid's frozen evaluation streams record and query their windows
+    # too, so this is the check on the memory calls outside training.
+    micro = MICRO.replace("ages = 60\n", "ages = 20, 80\nseeds = 0, 1\n")
+    cfg = parse_config(micro + f"out = {tmp_path / 'out'}\n"
+                       f"genome = {tmp_path / 'genome.bin'}\n")
+    workloads._write_genome(cfg)
+    harness.run_ablation(cfg)
+    want = workloads._ablate_grid_counts(cfg)
+    assert want["memory.query"] > 0 and want["memory.maybe_capture"] > 0
+    assert +traced_calls == +want

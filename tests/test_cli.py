@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from afferent.afferents import handcrafted_genome
 from afferent.cli import _resolve_config, build_parser, main
 from afferent.config import parse_config
+from afferent.policy import init_policy
+from afferent.storage import save_genome, save_policy
+from afferent.util import rng_for
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,6 +79,27 @@ def test_evaluate_without_policy_exits_2(micro_config, tmp_path, capsys):
     rc = main(["evaluate", "--config", micro_config, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["text", "empty", "other_kind"])
+@pytest.mark.parametrize("key, command", [("genome", "train"), ("policy", "evaluate")])
+def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    if content == "text":
+        path.write_text("m = 8\n")
+    elif content == "empty":
+        path.write_bytes(b"")
+    elif key == "genome":  # a policy checkpoint where a genome is expected
+        save_policy(path, init_policy(11, rng_for(0, 0), "base", (8,)))
+    else:
+        save_genome(path, handcrafted_genome(8, 3))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MICRO + f"{key} = {path}\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_summary_line(micro_config, tmp_path, capsys):

@@ -9,16 +9,16 @@ from afferent.memory import (
     MemoryStore,
     Window,
     RecallResult,
-    _summarize,
     maybe_capture,
     recall_risk,
     retrieve,
 )
 
 
-def rec(x, acts, cat, delta_d):
-    """maybe_capture's per-step arguments after the store and the window."""
-    return np.asarray(x, float), np.asarray(acts, float), cat, delta_d
+def step(store, window, x, acts, cat, delta_d):
+    """Record one step in the window, then advance its captures, as a Runner does."""
+    window.push(np.asarray(x, float), np.asarray(acts, float), cat)
+    return maybe_capture(store, window, cat, delta_d)
 
 
 def recall(store, key, k_ret):
@@ -60,7 +60,7 @@ def test_encode_key_layout_oracle():
     window = Window()
     for step in win:
         window.push(*step)
-    assert np.array_equal(_summarize(window.rows(), 2)[0], key)
+    assert np.array_equal(window.key(), key)
 
 
 def test_encode_key_uses_last_k():
@@ -75,7 +75,7 @@ def test_encode_key_zero_fallback_and_validation():
     window = Window()
     for step in win:
         window.push(*step)
-    assert np.array_equal(_summarize(window.rows(), 2)[0], key)
+    assert np.array_equal(window.key(), key)
     with pytest.raises(ValidationError):
         encode_key(win[:1], 1)
 
@@ -87,34 +87,27 @@ def _random_step(rng, scale):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-7, 3e5])
 def test_summarize_window_rows_equal_stacked_oracle_bits(scale):
-    # Window lengths 2..PRE_WINDOW, then evictions, each through the recorded
-    # rows and through a query's view with the current step; keys must be
-    # equal to the last bit, not only close.
+    # Window lengths 2..PRE_WINDOW, then evictions: the key of the recorded
+    # rows must equal the stacked oracle's to the last bit, not only be close.
     rng = np.random.default_rng(21)
     window, steps = Window(), []
     for t in range(PRE_WINDOW + 6):
         steps.append(_random_step(rng, scale))
         window.push(*steps[-1])
-        cur = _random_step(rng, scale)
-        view = steps[-(PRE_WINDOW - 1):] + [cur]
-        assert np.array_equal(_summarize(window.with_current(*cur), 3)[0],
-                              encode_key(view, len(view)))
+        n = min(t + 1, PRE_WINDOW)
+        assert len(window) == n
         if t:
-            n = min(t + 1, PRE_WINDOW)
-            assert len(window) == n
-            key, cat_mean = _summarize(window.rows(), 3)
-            assert np.array_equal(key, encode_key(steps, n))
-            assert cat_mean == np.mean([s[2] for s in steps[-n:]])
+            assert window.key().tobytes() == encode_key(steps, n).tobytes()
     zero = (np.zeros(3), np.zeros(64), 0.0)
     for _ in range(PRE_WINDOW):
         window.push(*zero)
-    assert np.array_equal(_summarize(window.rows(), 3)[0], encode_key([zero] * 2, 2))
+    assert window.key().tobytes() == encode_key([zero] * 2, 2).tobytes()
 
 
 def test_store_capacity_fifo():
     store = MemoryStore(capacity=3)
     for i in range(5):
-        store.insert([1.0, 0.0], float(i), 0.0)
+        store.insert([1.0, 0.0], float(i))
     assert len(store) == 3
     assert list(store.delta[:len(store)]) == [2.0, 3.0, 4.0]
     with pytest.raises(ValidationError):
@@ -123,27 +116,26 @@ def test_store_capacity_fifo():
 
 def test_capture_trigger_and_horizon_sum():
     store, window = MemoryStore(), Window()
-    assert not maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    assert not maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
+    assert not step(store, window, [0.1, 0.1], [0.0, 0.0], 0.0, 0.0)
+    assert not step(store, window, [0.1, 0.1], [0.0, 0.0], 0.0, 0.0)
     # damage trigger; the event step is the first term of the horizon sum
-    assert maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.1, 1e-3))
+    assert step(store, window, [0.8, 0.8], [0.5, 0.5], 0.1, 1e-3)
     assert len(window.pending) == 1 and len(store) == 0
     for j in range(HORIZON - 1):
-        opened = maybe_capture(store, window, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 1e-4))
+        opened = step(store, window, [0.2, 0.2], [0.1, 0.1], 0.1, 1e-4)
         assert not opened
     assert len(window.pending) == 0 and len(store) == 1
     assert store.delta[0] == pytest.approx(1e-3 + (HORIZON - 1) * 1e-4, abs=1e-15)
-    # the key and CAT summarize the window up to the event step
+    # the key summarizes the window up to the event step
     win = [([0.1, 0.1], [0.0, 0.0], 0.0)] * 2 + [([0.8, 0.8], [0.5, 0.5], 0.1)]
-    assert np.allclose(store.keys[0], encode_key(win, 3), atol=1e-12)
-    assert store.cat_hist[0] == pytest.approx(0.1 / 3, abs=1e-15)
+    assert np.array_equal(store.keys[0], encode_key(win, 3))
 
 
 def test_capture_cat_trigger_and_window_guard():
     store, window = MemoryStore(), Window()
     # high CAT alone cannot capture before the window has two steps
-    assert not maybe_capture(store, window, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
-    assert maybe_capture(store, window, *rec([0.5, 0.5], [0.9, 0.9], 0.9, 0.0))
+    assert not step(store, window, [0.5, 0.5], [0.9, 0.9], 0.9, 0.0)
+    assert step(store, window, [0.5, 0.5], [0.9, 0.9], 0.9, 0.0)
 
 
 def test_capture_thresholds_are_the_stores():
@@ -152,18 +144,17 @@ def test_capture_thresholds_are_the_stores():
                         (MemoryStore(eps_d=0.0, kappa_cat=0.95), True),
                         (MemoryStore(eps_d=1e-2, kappa_cat=0.5), True)):
         window = Window()
-        maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-        assert maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.9, 1e-3)) is want
+        step(store, window, [0.1, 0.1], [0.0, 0.0], 0.0, 0.0)
+        assert step(store, window, [0.8, 0.8], [0.5, 0.5], 0.9, 1e-3) is want
 
 
 def test_capture_key_matches_window_summary():
     store, window = MemoryStore(), Window()
-    maybe_capture(store, window, *rec([0.1, 0.2], [0.0, 0.1], 0.05, 0.0))
-    maybe_capture(store, window, *rec([0.7, 0.6], [0.4, 0.5], 0.45, 5e-4))
+    step(store, window, [0.1, 0.2], [0.0, 0.1], 0.05, 0.0)
+    step(store, window, [0.7, 0.6], [0.4, 0.5], 0.45, 5e-4)
     win = [([0.1, 0.2], [0.0, 0.1], 0.05), ([0.7, 0.6], [0.4, 0.5], 0.45)]
     p = window.pending[0]
-    assert np.allclose(p.key, encode_key(win, 2), atol=1e-12)
-    assert p.cat_hist == pytest.approx(0.25)
+    assert np.array_equal(p.key, encode_key(win, 2))
     assert p.delta_sum == pytest.approx(5e-4)
     window.clear()  # drops the open capture with the steps
     assert len(window) == 0 and not window.pending
@@ -171,9 +162,9 @@ def test_capture_key_matches_window_summary():
 
 def test_end_episode_finalizes_partial_sums():
     store, window = MemoryStore(), Window()
-    maybe_capture(store, window, *rec([0.1, 0.1], [0.0, 0.0], 0.0, 0.0))
-    maybe_capture(store, window, *rec([0.8, 0.8], [0.5, 0.5], 0.5, 1e-3))
-    maybe_capture(store, window, *rec([0.2, 0.2], [0.1, 0.1], 0.1, 2e-5))
+    step(store, window, [0.1, 0.1], [0.0, 0.0], 0.0, 0.0)
+    step(store, window, [0.8, 0.8], [0.5, 0.5], 0.5, 1e-3)
+    step(store, window, [0.2, 0.2], [0.1, 0.1], 0.1, 2e-5)
     store.end_episode(window)
     assert len(window.pending) == 0 and len(window) == 3  # the steps stay
     window.clear()
@@ -184,9 +175,9 @@ def test_end_episode_finalizes_partial_sums():
 
 def test_retrieve_matches_cosine_order():
     store = MemoryStore()
-    store.insert([0.0, 1.0, 0.0], 1.0, 0.0)
-    store.insert([1.0, 0.0, 0.0], 2.0, 0.0)
-    store.insert([0.6, 0.8, 0.0], 3.0, 0.0)
+    store.insert([0.0, 1.0, 0.0], 1.0)
+    store.insert([1.0, 0.0, 0.0], 2.0)
+    store.insert([0.6, 0.8, 0.0], 3.0)
     idx, dist = retrieve(store, np.array([1.0, 0.0, 0.0]), k_ret=2)
     assert list(idx) == [1, 2] and list(store.delta[idx]) == [2.0, 3.0]
     assert dist == pytest.approx([0.0, 0.4], abs=1e-12)
@@ -196,8 +187,8 @@ def test_retrieve_matches_cosine_order():
 
 def test_retrieve_ties_break_by_insertion_order():
     store = MemoryStore()
-    store.insert([1.0, 0.0], 1.0, 0.0)
-    store.insert([1.0, 0.0], 2.0, 0.0)
+    store.insert([1.0, 0.0], 1.0)
+    store.insert([1.0, 0.0], 2.0)
     idx, _ = retrieve(store, np.array([1.0, 0.0]), k_ret=2)
     assert list(store.delta[idx]) == [1.0, 2.0]
 
@@ -223,7 +214,7 @@ def test_retrieve_matches_full_stable_sort_with_ties_across_k():
     store = MemoryStore(capacity=64)
     keys = [basis[rng.integers(3)] for _ in range(40)]
     for i, k in enumerate(keys):
-        store.insert(k, float(i), 0.0)
+        store.insert(k, float(i))
     deltas = [float(i) for i in range(40)]
     for key in (*basis, np.full(4, 0.5)):
         for k_ret in (1, 2, 5, 13, 14, 39, 40, 41):
@@ -237,17 +228,16 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
     picks = [0, 1, 2, 0, 3, 0, 4, 1, 5, 2, 0, 1, 3, 0, 4, 0, 5, 1, 0, 2]
     queries = np.vstack([pool, rng.normal(size=(3, 7))])
     store = MemoryStore(capacity=8)
-    oracle = []  # (key, delta, cat_hist) per live episode, oldest first
+    oracle = []  # (key, delta) per live episode, oldest first
     for t, j in enumerate(picks):
-        row = (pool[j], float(t), 0.1 * j + 0.01 * t)
+        row = (pool[j], float(t))
         store.insert(*row)
         oracle = (oracle + [row])[-8:]
         n = len(store)
         assert n == min(t + 1, 8) == len(oracle)
-        keys, deltas, cat_hists = (list(col) for col in zip(*oracle))
+        keys, deltas = (list(col) for col in zip(*oracle))
         assert np.array_equal(store.keys[:n], np.stack(keys))
         assert store.delta[:n].tolist() == deltas
-        assert store.cat_hist[:n].tolist() == cat_hists
         for q in queries:
             assert _retrieved(store, q, 5) == _stacked_retrieve(keys, deltas, q, 5)
     assert store.delta.tolist() == list(range(12, 20))
@@ -256,15 +246,32 @@ def test_key_matrix_matches_stacked_keys_through_evictions():
     assert list(idx) == [1, 3, 6] and list(store.delta[idx]) == [13.0, 15.0, 18.0]
     assert dist[0] == dist[1] == dist[2]
     with pytest.raises(ValidationError):
-        store.insert(pool[0][:3], 0.0, 0.0)
+        store.insert(pool[0][:3], 0.0)
 
 
 @pytest.mark.parametrize("key", [np.ones((2, 3)), np.float64(1.0)])
 def test_first_key_must_be_a_vector(key):
     store = MemoryStore(capacity=3)
     with pytest.raises(ValidationError, match="key_dim"):
-        store.insert(key, 0.0, 0.0)
+        store.insert(key, 0.0)
     assert len(store) == 0
+
+
+@pytest.mark.parametrize("key, delta", [
+    ([np.nan, 1.0], 0.5), ([1.0, np.inf], 0.5), ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf),
+])
+def test_insert_rejects_non_finite_key_or_delta(key, delta):
+    # one NaN key would drop every row from a small store's retrieval and
+    # answer each query with the empty-memory (0, 0)
+    store = MemoryStore(capacity=3)
+    with pytest.raises(ValidationError, match="finite"):
+        store.insert(key, delta)
+    assert len(store) == 0
+    store.insert([0.6, 0.8], 2.0)
+    with pytest.raises(ValidationError, match="finite"):
+        store.insert(key, delta)
+    assert store.keys.tolist() == [[0.6, 0.8]] and store.delta.tolist() == [2.0]
+    assert recall(store, np.array([1.0, 0.0]), 5).y_hat == 2.0
 
 
 def test_store_equals_stacked_oracle_through_slide_backs():
@@ -279,15 +286,15 @@ def test_store_equals_stacked_oracle_through_slide_backs():
     store = MemoryStore(capacity=capacity)
     oracle, slide_backs = [], 0
     for t in range(8 * capacity + 3):
-        row = (pool[rng.integers(3)], float(t), float(rng.uniform()))
+        row = (pool[rng.integers(3)], float(t))
         start = store._start
         store.insert(*row)
         slide_backs += store._start < start
         oracle = (oracle + [row])[-capacity:]
-        keys, deltas, cat_hists = (list(col) for col in zip(*oracle))
+        keys, deltas = (list(col) for col in zip(*oracle))
         assert len(store) == len(oracle)
         assert store.keys.tobytes() == np.stack(keys).tobytes()
-        assert store.delta.tolist() == deltas and store.cat_hist.tolist() == cat_hists
+        assert store.delta.tolist() == deltas
         for q in queries:
             for k_ret in (1, 3, capacity):
                 assert _retrieved(store, q, k_ret) == _stacked_retrieve(keys, deltas, q, k_ret)
@@ -299,26 +306,27 @@ def test_query_after_end_episode_uses_only_new_steps():
     store, window = MemoryStore(), Window()
     for t in range(10):
         k = rng.normal(size=7)
-        store.insert(k / np.linalg.norm(k), float(t), 0.0)
+        store.insert(k / np.linalg.norm(k), float(t))
     steps = [(rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
              for _ in range(PRE_WINDOW + 3)]
     for s in steps:
         window.push(*s)
     cur = (rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
-    win = steps[-(PRE_WINDOW - 1):] + [cur]
-    want = recall(store, encode_key(win, len(win)), 5)
-    assert store.query(window, *cur) == want
-    assert len(window) == PRE_WINDOW  # the query step is not recorded
+    window.push(*cur)
+    want = recall(store, encode_key(steps + [cur], PRE_WINDOW), 5)
+    assert store.query(window) == want
+    assert len(window) == PRE_WINDOW  # the query records nothing
 
     # an episode boundary, as a Runner takes it
     store.end_episode(window)
     window.clear()
     assert len(window) == 0
-    res = store.query(window, *cur)
+    res = store.query(window)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
     window.push(*steps[0])
+    window.push(*cur)
     want = recall(store, encode_key([steps[0], cur], 2), 5)
-    assert store.query(window, *cur) == want
+    assert store.query(window) == want
 
 
 def test_recall_risk_oracle():
@@ -370,11 +378,12 @@ def test_query_composes_encode_retrieve_recall():
     rng = np.random.default_rng(7)
     for _ in range(6):
         k = rng.normal(size=7)
-        store.insert(k / np.linalg.norm(k), float(rng.uniform(0, 2)), 0.0)
+        store.insert(k / np.linalg.norm(k), float(rng.uniform(0, 2)))
     window = Window()
     window.push([0.3, 0.4], [0.2, 0.1], 0.15)
     window.push([0.5, 0.6], [0.3, 0.2], 0.25)
-    got = store.query(window, [0.7, 0.8], [0.4, 0.3], 0.35)
+    window.push([0.7, 0.8], [0.4, 0.3], 0.35)
+    got = store.query(window)
     win = [([0.3, 0.4], [0.2, 0.1], 0.15), ([0.5, 0.6], [0.3, 0.2], 0.25),
            ([0.7, 0.8], [0.4, 0.3], 0.35)]
     want = recall(store, encode_key(win, 3), 3)
@@ -384,9 +393,10 @@ def test_query_composes_encode_retrieve_recall():
 
 def test_query_empty_paths():
     store, window = MemoryStore(), Window()
-    res = store.query(window, [0.1, 0.1], [0.0, 0.0], 0.0)
+    res = store.query(window)
     assert res.y_hat == 0.0 and res.d_mean == 0.0
-    store.insert([1.0] + [0.0] * 6, 1.0, 0.0)
+    store.insert([1.0] + [0.0] * 6, 1.0)
     # a single query point cannot form a 2-step window
-    res2 = store.query(window, [0.1, 0.1], [0.0, 0.0], 0.0)
+    window.push([0.1, 0.1], [0.0, 0.0], 0.0)
+    res2 = store.query(window)
     assert res2.y_hat == 0.0 and res2.d_mean == 0.0

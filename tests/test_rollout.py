@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from afferent import memory as memory_mod
+from afferent import rollout
 from afferent.afferents import decode_genome, handcrafted_genome
 from afferent.env import SCENARIOS
 from afferent.memory import MemoryStore
@@ -72,6 +74,32 @@ def test_memory_capture_during_training_steps():
     runner.collect(40)  # two full episodes
     assert len(memory) > 0
     assert len(runner.window.pending) == 0  # end_episode flushed them
+
+
+def test_capture_key_is_the_query_key_bits(monkeypatch):
+    # A training step records its row once; the step's query and the capture
+    # it opens summarize the same rows, so the pending key is the key the
+    # query retrieved with, to the last bit.
+    memory = MemoryStore(eps_d=0.0)
+    setup = make_setup(mode="epi", memory=memory, episode_len=20)
+    queried, compared = [], []
+    real_retrieve, real_capture = memory_mod.retrieve, rollout.maybe_capture
+
+    def retrieve(store, key, k_ret):
+        queried.append(key.copy())
+        return real_retrieve(store, key, k_ret)
+
+    def capture(store, window, cat, delta_d):
+        opened = real_capture(store, window, cat, delta_d)
+        if opened and queried:
+            compared.append(window.pending[-1].key.tobytes() == queried[-1].tobytes())
+        queried.clear()
+        return opened
+
+    monkeypatch.setattr(memory_mod, "retrieve", retrieve)
+    monkeypatch.setattr(rollout, "maybe_capture", capture)
+    Runner(setup, make_policy(mode="epi"), seed=1).collect(100)
+    assert len(compared) >= 40 and all(compared)
 
 
 def test_frozen_runner_never_captures():
@@ -173,7 +201,7 @@ def test_frozen_runners_share_a_setup_read_only():
             assert np.array_equal(np.concatenate([s[i][key] for s in steps]), col)
 
     arr = setup.array
-    shared = (memory.keys, memory.delta, memory.cat_hist,
+    shared = (memory.keys, memory.delta,
               arr.W, arr.alpha, arr.theta, arr.tau, arr.v, arr.beta)
     before = (len(memory), [a.tobytes() for a in shared])
     evaluate_policy(setup, policy, seeds, 2)
@@ -192,7 +220,7 @@ def test_frozen_evaluation_starts_with_a_clean_window():
     assert cfg.total_steps % setup.episode_len and len(memory) > 0
     untrained = MemoryStore(eps_d=0.0)
     for i in range(len(memory)):
-        untrained.insert(memory.keys[i], memory.delta[i], memory.cat_hist[i])
+        untrained.insert(memory.keys[i], memory.delta[i])
     got = evaluate_policy(setup, policy, (701, 702), 1)
     want = evaluate_policy(replace(setup, memory=untrained), policy, (701, 702), 1)
     for g, w in zip(got, want, strict=True):
