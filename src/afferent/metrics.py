@@ -9,7 +9,7 @@ below 0.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def age_key(age: float) -> str:
 
 
 def _welch_dict(a, b) -> dict:
-    res = welch_test(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return {"t": res.t, "df": res.df, "p": res.p, "degenerate": res.degenerate}
+    return asdict(welch_test(a, b))
 
 
 def compute_metrics(runs) -> MetricsReport:

@@ -3,13 +3,16 @@
 All JSON output is emitted with sorted keys and no timestamps so identical
 configs produce byte-identical files.  Model containers are plain NPZ
 archives written into ``.bin`` files through an open file handle (np.savez
-would otherwise force an .npz suffix).
+would otherwise force an .npz suffix).  A genome or safe-model checkpoint is
+its dataclasses' fields in declaration order; the policy is hand-laid.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,33 +97,34 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(row)
 
 
-def _savez(path, **arrays) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _savez(path, *records, **arrays) -> None:
+    """Write each record's fields in declaration order, then the named arrays."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    members = {f.name: getattr(r, f.name) for r in records for f in fields(r)}
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **members, **arrays)
 
 
-def _meta_str(data) -> str:
-    return str(data[()]) if data.shape == () else str(data)
+def _open_npz(path):
+    """np.load of an NPZ archive; any other file is a ValidationError."""
+    if not zipfile.is_zipfile(path):
+        raise ValidationError("not an NPZ archive")
+    return np.load(path, allow_pickle=False)
+
+
+def _record(data, cls):
+    """A cls from the members named by its init fields, 0-d ones as Python scalars."""
+    members = {f.name: data[f.name] for f in fields(cls) if f.init}
+    return cls(**{k: a.item() if a.ndim == 0 else a for k, a in members.items()})
 
 
 def save_genome(path, genome: Genome, meta: dict | None = None) -> None:
-    _savez(
-        path,
-        raw=np.asarray(genome.raw, dtype=float),
-        m=np.array(genome.m),
-        k=np.array(genome.k),
-        meta=np.array(json.dumps(meta or {}, sort_keys=True)),
-    )
+    _savez(path, genome, meta=json.dumps(meta or {}, sort_keys=True))
 
 
 def load_genome(path):
-    with np.load(path, allow_pickle=False) as data:
-        genome = Genome(raw=np.array(data["raw"], dtype=float),
-                        m=int(data["m"]), k=int(data["k"]))
-        meta = json.loads(_meta_str(data["meta"]))
-    return genome, meta
+    with _open_npz(path) as data:
+        return _record(data, Genome), json.loads(data["meta"].item())
 
 
 def save_policy(path, policy: PolicyParams) -> None:
@@ -138,43 +142,19 @@ def save_policy(path, policy: PolicyParams) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    with np.load(path, allow_pickle=False) as data:
+    with _open_npz(path) as data:
         sizes = [int(s) for s in data["actor_sizes"]]
         if [int(s) for s in data["critic_sizes"]] != sizes:
             raise ValidationError("critic sizes do not match actor sizes")
         theta = np.concatenate([data["actor_params"], [data["log_std"]],
                                 data["critic_params"]], dtype=float)
-        return PolicyParams(theta, sizes, _meta_str(data["mode"]))
+        return PolicyParams(theta, sizes, data["mode"].item())
 
 
 def save_safe_model(path, model: SafeStateModel, disc: DiscrepancyParams) -> None:
-    _savez(
-        path,
-        A=np.asarray(model.A, dtype=float),
-        b=np.asarray(model.b, dtype=float),
-        residual_rms=np.array(model.residual_rms),
-        ridge=np.array(model.ridge),
-        w_delta=np.asarray(disc.w_delta, dtype=float),
-        kappa=np.array(disc.kappa),
-        delta0=np.array(disc.delta0),
-        lambda_env=np.array(disc.lambda_env),
-        lambda_pred=np.array(disc.lambda_pred),
-    )
+    _savez(path, model, disc)
 
 
 def load_safe_model(path):
-    with np.load(path, allow_pickle=False) as data:
-        model = SafeStateModel(
-            A=np.array(data["A"], dtype=float),
-            b=np.array(data["b"], dtype=float),
-            residual_rms=float(data["residual_rms"]),
-            ridge=bool(data["ridge"]),
-        )
-        disc = DiscrepancyParams(
-            w_delta=np.array(data["w_delta"], dtype=float),
-            kappa=float(data["kappa"]),
-            delta0=float(data["delta0"]),
-            lambda_env=float(data["lambda_env"]),
-            lambda_pred=float(data["lambda_pred"]),
-        )
-    return model, disc
+    with _open_npz(path) as data:
+        return _record(data, SafeStateModel), _record(data, DiscrepancyParams)

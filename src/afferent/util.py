@@ -14,22 +14,18 @@ __all__ = [
 ]
 
 
-def sigmoid(x):
+def sigmoid(x: float) -> float:
     """Numerically stable logistic function, exact 0/1 in the saturated tails.
 
     sigmoid(x) = exp(min(x, 0)) / (1 + e), e = exp(-|x|): the numerator is
-    exactly 1 where x >= 0 and e elsewhere, so neither exp overflows.  A float
-    picks the numerator, 1.0 or e, on float64 scalars, which round alike.
+    exactly 1 where x >= 0 and e elsewhere, so neither exp overflows.
     """
-    if isinstance(x, float):
-        e = np.exp(-abs(x))
-        return float((1.0 if x >= 0 else e) / (1.0 + e))
-    out = sigmoid_array(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    e = np.exp(-abs(x))
+    return float((1.0 if x >= 0 else e) / (1.0 + e))
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """sigmoid of a float64 array, with no conversion of its input or output."""
+    """sigmoid of a float64 array, unconverted; each element has sigmoid's bits."""
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 

@@ -2,6 +2,7 @@ import argparse
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from afferent.afferents import handcrafted_genome
@@ -81,7 +82,11 @@ def test_evaluate_without_policy_exits_2(micro_config, tmp_path, capsys):
     assert "policy" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["text", "empty", "other_kind"])
+SAVE = {"genome": lambda path: save_genome(path, handcrafted_genome(8, 3)),
+        "policy": lambda path: save_policy(path, init_policy(11, rng_for(0, 0), "base", (8,)))}
+
+
+@pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other_kind"])
 @pytest.mark.parametrize("key, command", [("genome", "train"), ("policy", "evaluate")])
 def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_path, capsys):
     path = tmp_path / "bad.bin"
@@ -89,16 +94,24 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
         path.write_text("m = 8\n")
     elif content == "empty":
         path.write_bytes(b"")
-    elif key == "genome":  # a policy checkpoint where a genome is expected
-        save_policy(path, init_policy(11, rng_for(0, 0), "base", (8,)))
-    else:
-        save_genome(path, handcrafted_genome(8, 3))
+    elif content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, handcrafted_genome(8, 3).raw)
+    elif content == "truncated":  # the first half of a valid checkpoint
+        SAVE[key](path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+    else:  # a checkpoint of the other kind
+        SAVE["policy" if key == "genome" else "genome"](path)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MICRO + f"{key} = {path}\n")
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
+    if content != "other_kind":
+        assert "not an NPZ archive" in err
+    assert "allow_pickle" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -158,3 +158,97 @@ def test_bin_files_keep_requested_name(tmp_path):
     save_genome(tmp_path / "exact.bin", handcrafted_genome(2, 3))
     assert (tmp_path / "exact.bin").is_file()
     assert not (tmp_path / "exact.bin.npz").exists()
+
+
+# The checkpoint layouts as np.savez calls with each member spelled out: the
+# member order and dtypes that files already written rely on.
+def _write_npz(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _genome_arrays(genome, meta):
+    return dict(raw=np.asarray(genome.raw, dtype=float), m=np.array(genome.m),
+                k=np.array(genome.k), meta=np.array(json.dumps(meta, sort_keys=True)))
+
+
+def _safe_model_arrays(model, disc):
+    return dict(A=np.asarray(model.A, dtype=float), b=np.asarray(model.b, dtype=float),
+                residual_rms=np.array(model.residual_rms), ridge=np.array(model.ridge),
+                w_delta=np.asarray(disc.w_delta, dtype=float), kappa=np.array(disc.kappa),
+                delta0=np.array(disc.delta0), lambda_env=np.array(disc.lambda_env),
+                lambda_pred=np.array(disc.lambda_pred))
+
+
+def _safe_model():
+    # A holds transposed least-squares coefficients, so it is Fortran-ordered.
+    model = SafeStateModel(A=rng_for(5).normal(size=(7, 3)).T, b=np.array([0.1, 0.2, 0.3]),
+                           residual_rms=0.04, ridge=True)
+    disc = DiscrepancyParams(w_delta=np.array([1.0, 0.5, 2.0]), kappa=8.0,
+                             delta0=0.11, lambda_env=0.6, lambda_pred=0.4)
+    return model, disc
+
+
+def test_checkpoint_bytes_equal_spelled_out_layout(tmp_path):
+    genome = handcrafted_genome(4, 3)
+    for meta in ({}, {"fitness": 0.5}):
+        save_genome(tmp_path / "g.bin", genome, meta=meta or None)
+        _write_npz(tmp_path / "g_ref.bin", **_genome_arrays(genome, meta))
+        assert (tmp_path / "g.bin").read_bytes() == (tmp_path / "g_ref.bin").read_bytes()
+    model, disc = _safe_model()
+    assert model.A.flags.f_contiguous and not model.A.flags.c_contiguous
+    save_safe_model(tmp_path / "m.bin", model, disc)
+    _write_npz(tmp_path / "m_ref.bin", **_safe_model_arrays(model, disc))
+    assert (tmp_path / "m.bin").read_bytes() == (tmp_path / "m_ref.bin").read_bytes()
+    assert load_safe_model(tmp_path / "m.bin")[0].A.flags.f_contiguous
+
+
+def test_checkpoint_member_names_and_order(tmp_path):
+    save_genome(tmp_path / "g.bin", handcrafted_genome(4, 3))
+    save_safe_model(tmp_path / "m.bin", *_safe_model())
+    save_policy(tmp_path / "p.bin", init_policy(5, rng_for(3), mode="epi", hidden=(8, 4)))
+    want = {
+        "g.bin": ["raw", "m", "k", "meta"],
+        "m.bin": ["A", "b", "residual_rms", "ridge", "w_delta", "kappa", "delta0",
+                  "lambda_env", "lambda_pred"],
+        "p.bin": ["actor_sizes", "actor_params", "critic_sizes", "critic_params",
+                  "log_std", "mode", "obs_dim"],
+    }
+    for name, members in want.items():
+        with np.load(tmp_path / name) as data:
+            assert data.files == members
+
+
+def test_spelled_out_layout_loads_with_python_scalars(tmp_path):
+    genome = handcrafted_genome(4, 3)
+    _write_npz(tmp_path / "g.bin", **_genome_arrays(genome, {"generations": 2}))
+    loaded, meta = load_genome(tmp_path / "g.bin")
+    assert np.array_equal(loaded.raw, genome.raw) and loaded.raw.dtype == float
+    assert (type(loaded.m), type(loaded.k), loaded.m, loaded.k) == (int, int, 4, 3)
+    assert meta == {"generations": 2}
+    model, disc = _safe_model()
+    _write_npz(tmp_path / "m.bin", **_safe_model_arrays(model, disc))
+    m2, d2 = load_safe_model(tmp_path / "m.bin")
+    assert np.array_equal(m2.A, model.A) and np.array_equal(m2.b, model.b)
+    assert np.array_equal(d2.w_delta, disc.w_delta)
+    scalars = (m2.residual_rms, m2.ridge, d2.kappa, d2.delta0, d2.lambda_env, d2.lambda_pred)
+    assert scalars == (0.04, True, 8.0, 0.11, 0.6, 0.4)
+    assert [type(v) for v in scalars] == [float, bool, float, float, float, float]
+    policy = init_policy(5, rng_for(3), mode="epi", hidden=(8, 4))
+    save_policy(tmp_path / "p.bin", policy)
+    assert type(load_policy(tmp_path / "p.bin").mode) is str
+
+
+@pytest.mark.parametrize("load", [load_genome, load_policy, load_safe_model])
+def test_loaders_reject_a_file_that_is_not_an_npz_archive(load, tmp_path):
+    npy = tmp_path / "a.bin"
+    with open(npy, "wb") as fh:
+        np.save(fh, np.zeros(3))
+    save_genome(tmp_path / "g.bin", handcrafted_genome(2, 3))
+    whole = (tmp_path / "g.bin").read_bytes()
+    (tmp_path / "half.bin").write_bytes(whole[:len(whole) // 2])
+    (tmp_path / "t.bin").write_text("m = 8\n")
+    (tmp_path / "e.bin").write_bytes(b"")
+    for name in ("a.bin", "half.bin", "t.bin", "e.bin"):
+        with pytest.raises(ValidationError, match="^not an NPZ archive$"):
+            load(tmp_path / name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afferent.util import inv_softplus, percentile_95, rng_for, sigmoid, softplus
+from afferent.util import inv_softplus, percentile_95, rng_for, sigmoid, sigmoid_array, softplus
 
 
 def test_sigmoid_known_values():
@@ -17,7 +17,7 @@ def test_sigmoid_saturates_exactly():
 
 def test_sigmoid_vectorized_matches_scalar():
     xs = np.linspace(-20, 20, 41)
-    vec = sigmoid(xs)
+    vec = sigmoid_array(xs)
     for x, v in zip(xs, vec):
         assert v == sigmoid(float(x))
 
@@ -32,23 +32,24 @@ def test_sigmoid_bits_match_two_branch_reference():
     want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
     ex = np.exp(xs[~pos])
     want[~pos] = ex / (1.0 + ex)
-    assert sigmoid(xs).tobytes() == want.tobytes()
+    assert sigmoid_array(xs).tobytes() == want.tobytes()
     assert all(np.float64(sigmoid(float(x))).tobytes() == w.tobytes() for x, w in zip(xs, want))
 
 
 EDGES = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 5e-324, -5e-324, 36.0, -36.0]
 
 
-@pytest.mark.parametrize("fn", [sigmoid, softplus])
-def test_float_branch_equals_array_path_bits(fn):
+@pytest.mark.parametrize("fn, array_fn", [(sigmoid, sigmoid_array), (softplus, softplus)],
+                         ids=["sigmoid", "softplus"])
+def test_float_branch_equals_array_path_bits(fn, array_fn):
     # A float takes the scalar branch; a 0-d array, a length-1 array and a
     # slice of a long array take the array path.
     xs = np.concatenate([rng_for(11).normal(0.0, 30.0, 3000), EDGES])
-    whole = fn(xs)
+    whole = array_fn(xs)
     for i, x in enumerate(xs):
         got = fn(float(x))
         assert type(got) is float
-        for ref in (fn(np.array(x)), fn(np.array([x]))[0], whole[i]):
+        for ref in (array_fn(np.array(x)), array_fn(np.array([x]))[0], whole[i]):
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
     assert type(fn(np.float64(0.5))) is float
 
