@@ -22,6 +22,7 @@ from .policy import PPOConfig, RewardParams
 __all__ = [
     "ABLATIONS",
     "ARMS",
+    "FITNESS_ARM",
     "DEFAULTS",
     "ExperimentConfig",
     "parse_config",
@@ -43,6 +44,9 @@ ARMS = {
     "no_predictive": Arm("epi", True, False, ()),
 }
 ABLATIONS = tuple(ARMS)
+# Evolution scores genomes on base-mode learning, without memory or the
+# predictive layer; gate 06 and the evolve_base bench counts rely on it.
+FITNESS_ARM = Arm("base", False, False, ())
 
 
 def _key(key: str, default):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import env as twin
 from .afferents import Genome, compute_cat, decode_genome, handcrafted_genome
-from .config import ABLATIONS, ARMS, ExperimentConfig
+from .config import ABLATIONS, ARMS, FITNESS_ARM, Arm, ExperimentConfig
 from .errors import ConfigError, TrainingError, ValidationError
 from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
@@ -32,7 +32,7 @@ from .metrics import (
     age_key,
     compute_metrics,
 )
-from .policy import RewardParams, obs_dim
+from .policy import obs_dim
 from .rollout import AgentSetup, calibrate_predictive, evaluate_policy, rl_train
 from .storage import (
     load_genome,
@@ -48,7 +48,6 @@ from .storage import (
 from .util import rng_for
 
 __all__ = [
-    "VariantPlan",
     "variant_plan",
     "resolve_predictive",
     "fitness_setup",
@@ -62,23 +61,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VariantPlan:
-    """How one ablation arm wires observations, memory, predictive, reward."""
+def variant_plan(cfg: ExperimentConfig, variant: str) -> Arm:
+    """ARMS[variant]; an unknown arm is a ConfigError.
 
-    mode: str
-    use_memory: bool
-    use_predictive: bool
-    reward: RewardParams
-
-
-def variant_plan(cfg: ExperimentConfig, variant: str) -> VariantPlan:
-    """The wiring ARMS gives the arm, with its zeroed weights off cfg.reward."""
+    cfg is unused: it stays for the two-argument call in bench/workloads.py.
+    """
     if variant not in ARMS:
         raise ConfigError(f"unknown ablation {variant!r}")
-    arm = ARMS[variant]
-    return VariantPlan(arm.mode, arm.use_memory, arm.use_predictive,
-                       replace(cfg.reward, **dict.fromkeys(arm.zeroed, 0.0)))
+    return ARMS[variant]
 
 
 def resolve_predictive(cfg: ExperimentConfig):
@@ -114,11 +104,7 @@ def _resolve_genome(cfg: ExperimentConfig) -> Genome:
 
 def fitness_setup(cfg: ExperimentConfig):
     """The genome -> AgentSetup builder evolution scores candidates under."""
-    # Genomes are selected on base-mode learning, without memory or the
-    # predictive layer; gate 06 and the evolve_base bench counts rely on it.
-    plan = VariantPlan("base", use_memory=False, use_predictive=False,
-                       reward=cfg.reward)
-    return lambda genome: _build_setup(cfg, plan, genome, cfg.ages[0], None, None)
+    return lambda genome: _build_setup(cfg, FITNESS_ARM, genome, cfg.ages[0], None, None)
 
 
 def evolve_genome(cfg: ExperimentConfig):
@@ -129,16 +115,18 @@ def evolve_genome(cfg: ExperimentConfig):
     )
 
 
-def _build_setup(cfg: ExperimentConfig, plan: VariantPlan, genome: Genome,
+def _build_setup(cfg: ExperimentConfig, arm: Arm, genome: Genome,
                  age: float, model, disc) -> AgentSetup:
+    """One agent under arm's wiring, with arm's reward weights zeroed in cfg.reward."""
     array = decode_genome(genome, cfg.dt)
     memory = (MemoryStore(cfg.memory_capacity, cfg.memory_k_ret, cfg.memory_eps_d,
-                          cfg.memory_kappa_cat) if plan.use_memory else None)
+                          cfg.memory_kappa_cat) if arm.use_memory else None)
     return AgentSetup(
         scenario=twin.SCENARIOS[cfg.scenario], age=float(age), array=array,
-        reward=plan.reward, mode=plan.mode, memory=memory,
-        safe_model=model if plan.use_predictive else None,
-        disc=disc if plan.use_predictive else None,
+        reward=replace(cfg.reward, **dict.fromkeys(arm.zeroed, 0.0)),
+        mode=arm.mode, memory=memory,
+        safe_model=model if arm.use_predictive else None,
+        disc=disc if arm.use_predictive else None,
         episode_len=cfg.episode_len,
     )
 
@@ -179,8 +167,7 @@ def _run_log(stats, variant: str, age: float, seed: int) -> RunLog:
 def _train_eval_cell(args):
     """One (variant, age, seed) cell: train a policy, evaluate it, summarize."""
     cfg, variant, age, seed, genome, model, disc = args
-    plan = variant_plan(cfg, variant)
-    setup = _build_setup(cfg, plan, genome, age, model, disc)
+    setup = _build_setup(cfg, variant_plan(cfg, variant), genome, age, model, disc)
     try:
         result = rl_train(setup, cfg.ppo, int(seed))
     except TrainingError as exc:
@@ -197,18 +184,26 @@ def _train_eval_cell(args):
 
 
 def _arm_inputs(cfg: ExperimentConfig):
-    """Plan, genome and safe model (None, None without one) of cfg.ablation."""
-    plan = variant_plan(cfg, cfg.ablation)
+    """Arm, genome and safe model (None, None without one) of cfg.ablation."""
+    arm = variant_plan(cfg, cfg.ablation)
     genome = (handcrafted_genome(cfg.m, cfg.k, cfg.dt)
               if cfg.ablation == "no_evolution" else _resolve_genome(cfg))
-    model, disc = resolve_predictive(cfg) if plan.use_predictive else (None, None)
-    return plan, genome, model, disc
+    model, disc = resolve_predictive(cfg) if arm.use_predictive else (None, None)
+    return arm, genome, model, disc
 
 
 def _ablation_cell(args):
     """A cell's report rows only; its policy and history stay where it ran."""
     cell = _train_eval_cell(args)
     return {k: cell[k] for k in ("run_log", "episodes", "failure") if k in cell}
+
+
+def _fail(out: Path, failures: list, logs=()):
+    """Report the failed cells and the completed cells' logs, then raise TrainingError."""
+    completed = [{"variant": log.variant, "age": log.age, "seed": log.seed} for log in logs]
+    write_json_report(out / "reports" / "failure_manifest.json",
+                      {"failures": failures, "completed": completed})
+    raise TrainingError(f"{len(failures)} cell(s) failed; first: {failures[0]['error']}")
 
 
 # A pool worker's shared cursor, set as the worker starts: a synchronized
@@ -321,9 +316,7 @@ def train(cfg: ExperimentConfig) -> dict:
     _, genome, model, disc = _arm_inputs(cfg)
     cell = _train_eval_cell((cfg, cfg.ablation, age, cfg.seed, genome, model, disc))
     if "failure" in cell:
-        write_json_report(out / "reports" / "failure_manifest.json",
-                          {"failures": [cell["failure"]], "completed": []})
-        raise TrainingError(cell["failure"]["error"])
+        _fail(out, [cell["failure"]])
     tag = f"{cfg.scenario}_age{age_key(age)}_seed{cfg.seed}"
     save_policy(out / "genomes" / f"policy_{tag}.bin", cell["policy"])
     if model is not None:
@@ -380,15 +373,15 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     if not cfg.policy:
         raise ConfigError("evaluate requires policy = <path to .bin checkpoint>")
     policy = _load_checkpoint(load_policy, "policy", cfg.policy)
-    plan, genome, model, disc = _arm_inputs(cfg)
-    if policy.mode != plan.mode:
+    arm, genome, model, disc = _arm_inputs(cfg)
+    if policy.mode != arm.mode:
         raise ConfigError(
-            f"policy was trained in mode {policy.mode!r}; config wires {plan.mode!r}")
-    if policy.obs_dim != obs_dim(plan.mode, cfg.k, cfg.m):
+            f"policy was trained in mode {policy.mode!r}; config wires {arm.mode!r}")
+    if policy.obs_dim != obs_dim(arm.mode, cfg.k, cfg.m):
         raise ConfigError("policy observation size does not match m/k in config")
     logs = []
     for age in cfg.ages:
-        setup = _build_setup(cfg, plan, genome, age, model, disc)
+        setup = _build_setup(cfg, arm, genome, age, model, disc)
         stats = evaluate_policy(setup, policy, cfg.eval_seeds, cfg.eval_episodes)
         logs.append(_run_log(stats, cfg.ablation, age, cfg.seed))
         write_jsonl(
@@ -429,29 +422,20 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     ]
     results = _parallel_map(_ablation_cell, cells, cfg.jobs)
 
-    failures = []
-    run_logs = {v: [] for v in ABLATIONS}
-    for (c, variant, age, seed, *_), res in zip(cells, results):
+    failures, logs = [], []  # logs in grid order: variant, then age, then seed
+    for res in results:
         if "failure" in res:
             failures.append(res["failure"])
             continue
         log = res["run_log"]
-        run_logs[variant].append(log)
-        write_jsonl(
-            out / "runs" /
-            f"ablation_{variant}_age{age_key(age)}_seed{seed}.jsonl",
-            res["episodes"],
-        )
+        logs.append(log)
+        write_jsonl(out / "runs" /
+                    f"ablation_{log.variant}_age{age_key(log.age)}_seed{log.seed}.jsonl",
+                    res["episodes"])
     if failures:
-        completed = [
-            {"variant": log.variant, "age": log.age, "seed": log.seed}
-            for v in ABLATIONS for log in run_logs[v]
-        ]
-        write_json_report(out / "reports" / "failure_manifest.json",
-                          {"failures": failures, "completed": completed})
-        raise TrainingError(f"{len(failures)} ablation cell(s) failed; "
-                            "partial results written")
+        _fail(out, failures, logs)
 
+    run_logs = {v: [log for log in logs if log.variant == v] for v in ABLATIONS}
     reports = {v: compute_metrics(run_logs[v]) for v in ABLATIONS}
     welch = {}
     for age in cfg.ages:
@@ -462,11 +446,11 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
         for variant in ABLATIONS:
             if variant == "full":
                 continue
-            logs = [log for log in run_logs[variant] if log.age == float(age)]
-            d = [log.d_total for log in logs]
+            at_age = [log for log in run_logs[variant] if log.age == float(age)]
+            d = [log.d_total for log in at_age]
             if len(full_d) >= 2 and len(d) >= 2:
                 welch[f"d_total:full_vs_{variant}@age{ak}"] = _welch_dict(full_d, d)
-            cat = [float(log.cats.mean()) for log in logs if log.cats is not None]
+            cat = [float(log.cats.mean()) for log in at_age if log.cats is not None]
             if len(full_cat) >= 2 and len(cat) == len(d) and len(cat) >= 2:
                 welch[f"cat:full_vs_{variant}@age{ak}"] = _welch_dict(full_cat, cat)
     aggregate = {
@@ -480,7 +464,7 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
         out / "curves" / f"ablation_{cfg.scenario}.csv",
         ["variant", "age", "seed", *columns],
         [[log.variant, log.age, log.seed, *(_summary(log).get(c, "") for c in columns)]
-         for v in ABLATIONS for log in run_logs[v]],
+         for log in logs],
     )
     return reports
 

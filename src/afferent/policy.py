@@ -197,12 +197,12 @@ def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Genera
     return float(0.5 * (np.tanh(z) + 1.0)), float(logp), float(z)
 
 
-def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.0,
-        normalize: bool = True):
+def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.0):
     """Generalized advantage estimation over one collected rollout.
 
     values aligns with rewards (V(s_t)); last_value bootstraps the step after
-    the final one.  Advantages are normalized to mean 0, sd 1 unless disabled.
+    the final one.  Returns the advantages normalized to mean 0, sd 1, and
+    the returns: the raw advantages plus values.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -221,11 +221,7 @@ def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.
         adv[t] = next_adv
         next_value = v[t]
     adv = np.array(adv)
-    returns = adv + values
-    if normalize:
-        sd = adv.std()
-        adv = (adv - adv.mean()) / max(sd, 1e-8)
-    return adv, returns
+    return (adv - adv.mean()) / max(adv.std(), 1e-8), adv + values
 
 
 def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,

@@ -105,11 +105,16 @@ def _savez(path, *records, **arrays) -> None:
         np.savez(fh, **members, **arrays)
 
 
-def _open_npz(path):
-    """np.load of an NPZ archive; any other file is a ValidationError."""
+def _read_npz(path) -> dict:
+    """{name: array} of an NPZ archive; any other file is a ValidationError."""
     if not zipfile.is_zipfile(path):
         raise ValidationError("not an NPZ archive")
-    return np.load(path, allow_pickle=False)
+    with np.load(path, allow_pickle=False) as data:
+        members = {name: data[name] for name in data.files}
+    for name, member in members.items():
+        if not isinstance(member, np.ndarray):  # a member without the .npy header
+            raise ValidationError(f"member {name!r} is not an array")
+    return members
 
 
 def _record(data, cls):
@@ -123,8 +128,8 @@ def save_genome(path, genome: Genome, meta: dict | None = None) -> None:
 
 
 def load_genome(path):
-    with _open_npz(path) as data:
-        return _record(data, Genome), json.loads(data["meta"].item())
+    data = _read_npz(path)
+    return _record(data, Genome), json.loads(data["meta"].item())
 
 
 def save_policy(path, policy: PolicyParams) -> None:
@@ -142,13 +147,13 @@ def save_policy(path, policy: PolicyParams) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    with _open_npz(path) as data:
-        sizes = [int(s) for s in data["actor_sizes"]]
-        if [int(s) for s in data["critic_sizes"]] != sizes:
-            raise ValidationError("critic sizes do not match actor sizes")
-        theta = np.concatenate([data["actor_params"], [data["log_std"]],
-                                data["critic_params"]], dtype=float)
-        return PolicyParams(theta, sizes, data["mode"].item())
+    data = _read_npz(path)
+    sizes = [int(s) for s in data["actor_sizes"]]
+    if [int(s) for s in data["critic_sizes"]] != sizes:
+        raise ValidationError("critic sizes do not match actor sizes")
+    theta = np.concatenate([data["actor_params"], [data["log_std"]],
+                            data["critic_params"]], dtype=float)
+    return PolicyParams(theta, sizes, data["mode"].item())
 
 
 def save_safe_model(path, model: SafeStateModel, disc: DiscrepancyParams) -> None:
@@ -156,5 +161,5 @@ def save_safe_model(path, model: SafeStateModel, disc: DiscrepancyParams) -> Non
 
 
 def load_safe_model(path):
-    with _open_npz(path) as data:
-        return _record(data, SafeStateModel), _record(data, DiscrepancyParams)
+    data = _read_npz(path)
+    return _record(data, SafeStateModel), _record(data, DiscrepancyParams)

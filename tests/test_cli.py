@@ -1,13 +1,17 @@
 import argparse
+import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from afferent.afferents import handcrafted_genome
+from afferent import harness
 from afferent.cli import _resolve_config, build_parser, main
 from afferent.config import parse_config
+from afferent.errors import TrainingError
 from afferent.policy import init_policy
 from afferent.storage import save_genome, save_policy
 from afferent.util import rng_for
@@ -84,9 +88,21 @@ def test_evaluate_without_policy_exits_2(micro_config, tmp_path, capsys):
 
 SAVE = {"genome": lambda path: save_genome(path, handcrafted_genome(8, 3)),
         "policy": lambda path: save_policy(path, init_policy(11, rng_for(0, 0), "base", (8,)))}
+# The member raw_member stores as bytes without the .npy header.
+RAW_MEMBER = {"genome": ("m.npy", b"8"), "policy": ("mode.npy", b"base")}
 
 
-@pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other_kind"])
+def _replace_member(path, name, data):
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    members[name] = data
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, content in members.items():
+            zf.writestr(member, content)
+
+
+@pytest.mark.parametrize("content",
+                         ["text", "empty", "npy", "truncated", "other_kind", "raw_member"])
 @pytest.mark.parametrize("key, command", [("genome", "train"), ("policy", "evaluate")])
 def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_path, capsys):
     path = tmp_path / "bad.bin"
@@ -101,6 +117,9 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
         SAVE[key](path)
         whole = path.read_bytes()
         path.write_bytes(whole[:len(whole) // 2])
+    elif content == "raw_member":  # a checkpoint with one member not written by np.save
+        SAVE[key](path)
+        _replace_member(path, *RAW_MEMBER[key])
     else:  # a checkpoint of the other kind
         SAVE["policy" if key == "genome" else "genome"](path)
     cfg = tmp_path / "bad.cfg"
@@ -109,10 +128,27 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
-    if content != "other_kind":
+    if content not in ("other_kind", "raw_member"):  # those two are zip archives
         assert "not an NPZ archive" in err
     assert "allow_pickle" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_failed_train_exits_3_with_manifest_and_no_policy(micro_config, tmp_path,
+                                                         monkeypatch, capsys):
+    def rl_train(setup, ppo, seed):
+        raise TrainingError("injected")
+
+    monkeypatch.setattr(harness, "rl_train", rl_train)
+    out = tmp_path / "o"
+    rc = main(["train", "--config", micro_config, "--out", str(out)])
+    assert rc == 3
+    assert "1 cell(s) failed" in capsys.readouterr().err
+    manifest = json.loads((out / "reports" / "failure_manifest.json").read_text())
+    assert manifest == {"failures": [{"variant": "full", "age": 60.0, "seed": 0,
+                                      "error": "injected"}],
+                        "completed": []}
+    assert not (out / "genomes").exists()
 
 
 def test_simulate_summary_line(micro_config, tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from afferent.afferents import Genome, decode_genome, handcrafted_genome
 from afferent.config import ExperimentConfig
-from afferent.errors import ValidationError
+from afferent import evolution
+from afferent.errors import TrainingError, ValidationError
 from afferent.evolution import (
     FitnessSpec,
     evaluate_fitness,
@@ -50,6 +51,15 @@ def test_evaluate_fitness_averages_rl_seeds():
     jb = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, 64, rl_seeds=(1,))
     jab = evaluate_fitness(g, TINY_SPEC, tiny_build(), TINY_PPO, 64, rl_seeds=(0, 1))
     assert jab == pytest.approx(0.5 * (ja + jb), abs=1e-12)
+
+
+def test_evaluate_fitness_scores_a_training_failure_minus_inf(monkeypatch):
+    def rl_train(setup, ppo, seed):
+        raise TrainingError("injected")
+
+    monkeypatch.setattr(evolution, "rl_train", rl_train)
+    j = evaluate_fitness(handcrafted_genome(4, 3), TINY_SPEC, tiny_build(), TINY_PPO, 64)
+    assert j == float("-inf")
 
 
 def test_run_evolution_history_and_determinism():

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from afferent.afferents import handcrafted_genome
-from afferent.config import ABLATIONS, ExperimentConfig
-from afferent.errors import ConfigError
+from afferent import harness
+from afferent.config import ABLATIONS, ARMS, FITNESS_ARM, ExperimentConfig
+from afferent.errors import ConfigError, TrainingError
 from afferent.harness import (
+    _build_setup,
     _parallel_map,
     _resolve_genome,
     evaluate,
+    fitness_setup,
     probe_lipschitz,
     run_ablation,
     simulate,
@@ -37,6 +40,11 @@ def micro_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+def _reward(cfg, arm):
+    """The reward an agent set up under arm's wiring trains on."""
+    return _build_setup(cfg, arm, handcrafted_genome(cfg.m, cfg.k), 60.0, None, None).reward
+
+
 def test_variant_plan_wiring():
     cfg = ExperimentConfig()
     stock = RewardParams(lambda_cat=2.0, lambda_d=5.0, lambda_mem=25.0)
@@ -53,16 +61,25 @@ def test_variant_plan_wiring():
     for arm, (mode, memory, predictive, reward) in want.items():
         plan = variant_plan(cfg, arm)
         assert (plan.mode, plan.use_memory, plan.use_predictive) == (mode, memory, predictive)
-        assert plan.reward == reward
+        assert _reward(cfg, plan) == reward
         armed = ExperimentConfig(ablation=arm)
         assert armed.mode == variant_plan(armed, armed.ablation).mode == mode
     # zeroing acts on the configured weights, not the stock ones
     custom = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0,
                                                   lambda_mem=7.0))
-    assert variant_plan(custom, "no_amm").reward == RewardParams(1.0, 3.0, 0.0)
-    assert variant_plan(custom, "full").reward == custom.reward
+    assert _reward(custom, variant_plan(custom, "no_amm")) == RewardParams(1.0, 3.0, 0.0)
+    assert _reward(custom, variant_plan(custom, "full")) == custom.reward
     with pytest.raises(ConfigError):
         variant_plan(cfg, "no_everything")
+
+
+def test_fitness_setup_wires_the_fitness_arm():
+    assert FITNESS_ARM == ("base", False, False, ())
+    assert FITNESS_ARM not in ARMS.values()
+    cfg = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0, lambda_mem=7.0))
+    setup = fitness_setup(cfg)(handcrafted_genome(cfg.m, cfg.k))
+    assert (setup.mode, setup.memory, setup.safe_model, setup.disc) == ("base", None, None, None)
+    assert setup.reward == cfg.reward and setup.age == cfg.ages[0]
 
 
 def test_resolve_genome_paths(tmp_path):
@@ -125,6 +142,18 @@ def test_train_then_evaluate(tmp_path):
     assert (tmp_path / "reports" / "evaluate_normal.json").is_file()
 
 
+@pytest.mark.parametrize("arm", ["no_cat", "no_amm"])
+def test_evaluate_of_a_train_checkpoint_repeats_its_eval_rows(arm, tmp_path):
+    # Arms without memory only: a memory arm evaluates against an empty store.
+    cfg = micro_cfg(tmp_path, ablation=arm, eval_seeds=(701, 702), eval_episodes=2)
+    train(cfg)
+    evaluate(micro_cfg(tmp_path, ablation=arm, eval_seeds=(701, 702), eval_episodes=2,
+                       policy=str(tmp_path / "genomes" / "policy_normal_age60_seed0.bin")))
+    trained = read_jsonl(tmp_path / "runs" / "train_normal_age60_seed0.jsonl")
+    assert len(trained) == 4
+    assert read_jsonl(tmp_path / "runs" / "evaluate_normal_age60.jsonl") == trained
+
+
 def test_evaluate_requires_policy(tmp_path):
     with pytest.raises(ConfigError, match="policy"):
         evaluate(micro_cfg(tmp_path))
@@ -168,6 +197,39 @@ def test_ablation_output_does_not_depend_on_jobs(tmp_path):
         run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
         trees.append(_tree_bytes(out))
     assert trees[0] and trees[0] == trees[1] == trees[2]
+
+
+def _fail_one_cell(monkeypatch, mode, seed):
+    """Make rl_train raise in the harness for the cells of one mode and seed."""
+    real = harness.rl_train
+
+    def rl_train(setup, ppo, rl_seed):
+        if (setup.mode, rl_seed) == (mode, seed):
+            raise TrainingError("injected")
+        return real(setup, ppo, rl_seed)
+
+    monkeypatch.setattr(harness, "rl_train", rl_train)
+
+
+def test_failed_ablation_cell_writes_manifest_at_any_jobs(tmp_path, monkeypatch):
+    _fail_one_cell(monkeypatch, "plain", 1)  # no_cat at seed 1
+    genome = handcrafted_genome(8, 3)
+    trees = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        with pytest.raises(TrainingError, match="1 cell.* failed.*first: injected"):
+            run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+    manifest = json.loads(trees[0]["reports/failure_manifest.json"])
+    assert manifest["failures"] == [
+        {"variant": "no_cat", "age": 60.0, "seed": 1, "error": "injected"}]
+    grid = [(v, s) for v in ABLATIONS for s in (0, 1) if (v, s) != ("no_cat", 1)]
+    assert [(c["variant"], c["seed"]) for c in manifest["completed"]] == grid
+    assert all(c["age"] == 60.0 for c in manifest["completed"])
+    runs = sorted(name for name in trees[0] if name.startswith("runs/"))
+    assert runs == sorted(f"runs/ablation_{v}_age60_seed{s}.jsonl" for v, s in grid)
+    assert sorted(trees[0]) == ["reports/failure_manifest.json", *runs]
 
 
 def _with_pid(item):

@@ -160,16 +160,19 @@ def test_sample_action_z_matches_batch_path_bits():
 
 def test_gae_hand_computed():
     adv, ret = gae([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                   gamma=0.5, lam=1.0, last_value=99.0, normalize=False)
-    assert adv == pytest.approx([1.75, 1.5, 1.0], abs=1e-12)
-    assert ret == pytest.approx([1.75, 1.5, 1.0], abs=1e-12)
+                   gamma=0.5, lam=1.0, last_value=99.0)
+    raw = np.array([1.75, 1.5, 1.0])  # the values are 0, so ret is the raw advantages
+    assert ret == pytest.approx(raw, abs=1e-12)
+    assert adv == pytest.approx((raw - raw.mean()) / raw.std(), abs=1e-12)
 
 
 def test_gae_bootstraps_last_value():
-    adv, ret = gae([0.0, 0.0], [1.0, 2.0], [0.0, 0.0],
-                   gamma=1.0, lam=1.0, last_value=3.0, normalize=False)
-    assert adv == pytest.approx([2.0, 1.0], abs=1e-12)
+    values = np.array([1.0, 2.0])
+    adv, ret = gae([0.0, 0.0], values, [0.0, 0.0],
+                   gamma=1.0, lam=1.0, last_value=3.0)
     assert ret == pytest.approx([3.0, 3.0], abs=1e-12)
+    assert ret - values == pytest.approx([2.0, 1.0], abs=1e-12)  # raw advantages
+    assert adv == pytest.approx([1.0, -1.0], abs=1e-12)
 
 
 def test_gae_normalization_and_validation():
@@ -198,8 +201,6 @@ def test_gae_matches_numpy_scalar_loop_bits(n):
         next_adv = delta + gamma * lam * nonterminal * next_adv
         want[t] = next_adv
         next_value = values[t]
-    adv, ret = gae(rewards, values, dones, gamma, lam, last_value, normalize=False)
-    assert np.array_equal(adv, want) and np.array_equal(ret, want + values)
     adv, ret = gae(rewards, values, dones, gamma, lam, last_value)
     norm = (want - want.mean()) / max(want.std(), 1e-8)
     assert np.array_equal(adv, norm) and np.array_equal(ret, want + values)
