@@ -4,12 +4,16 @@ Scenario- and age-parameterized generation of [stress, strain, shear]
 features over a gait cycle, cumulative damage accumulation with an
 age-shrinking safe-load threshold, and a step interface for policy learning.
 Noise is counter-based (Philox keyed by seed with the step index as counter)
-so trajectories are bit-for-bit reproducible and trivially parallel.  The
-state and a step's result are immutable named tuples.
+so trajectories are bit-for-bit reproducible and trivially parallel.  A
+noise row is thus a pure function of (seed, step, sd), and each is drawn
+once per process: later calls read it back from a bounded row table, which
+returns exactly the floats a fresh draw would.  The state and a step's
+result are immutable named tuples.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,28 +95,39 @@ COS_PHASE = np.cos(_PHASE).tolist()
 _SIN_LEAD = np.sin(_PHASE + np.pi / 3.0).tolist()
 
 
-# (seed, Philox, its Generator, its fresh state) of the last seed drawn from;
-# the package steps environments on one thread per process.
-_noise_slot = None
+# Noise rows drawn so far: float64 [e0, e1, e2] per step, in blocks of 256
+# steps keyed by (seed, sd, t // 256), NaN where a row is not drawn yet.
+# Whole blocks leave oldest first, so at most _NOISE_BLOCKS of 6 KB each
+# (0.8 MB) are held.  One Philox serves every miss: its key and counter are
+# rewritten, with an empty buffer, before each draw.  The package steps
+# environments on one thread per process.
+_NOISE_BLOCKS = 128
+_EMPTY_BLOCK = array("d", [float("nan")]) * 768
+_rows: dict = {}
+_bits = np.random.Philox(key=0)
+_gen = np.random.Generator(_bits)
+_philox_state = _bits.state
 
 
-def _noise(seed: int, t: int, sd: float) -> np.ndarray:
-    """Generator(Philox(key=seed, counter=[t, 0, 0, 0])).normal(0, sd, 3).
-
-    The last seed's Philox is reused: each draw first writes back its fresh
-    state with the counter set to t, which also empties its buffer, so no
-    draw depends on the one before.
-    """
-    global _noise_slot
-    if sd == 0.0:
-        return np.zeros(3)
-    if _noise_slot is None or _noise_slot[0] != seed:
-        bits = np.random.Philox(key=seed)
-        _noise_slot = (seed, bits, np.random.Generator(bits), bits.state)
-    _, bits, gen, state = _noise_slot
-    state["state"]["counter"][0] = t
-    bits.state = state
-    return gen.normal(0.0, sd, size=3)
+def _noise(seed: int, t: int, sd: float) -> tuple:
+    """The floats of Generator(Philox(key=seed, counter=[t, 0, 0, 0])).normal(0, sd, 3)."""
+    key = (seed, sd, t >> 8)
+    i = 3 * (t & 255)
+    rows = _rows.get(key)
+    if rows is None:
+        if len(_rows) >= _NOISE_BLOCKS:
+            del _rows[next(iter(_rows))]
+        rows = _rows[key] = _EMPTY_BLOCK[:]
+    else:
+        e0 = rows[i]
+        if e0 == e0:  # not NaN: drawn before
+            return e0, rows[i + 1], rows[i + 2]
+    _philox_state["state"]["key"] = [seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64]
+    _philox_state["state"]["counter"][0] = t
+    _bits.state = _philox_state
+    e0, e1, e2 = _gen.normal(0.0, sd, 3).tolist()
+    rows[i], rows[i + 1], rows[i + 2] = e0, e1, e2
+    return e0, e1, e2
 
 
 def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndarray:
@@ -123,11 +138,11 @@ def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndar
     phase = state.t % GAIT_PERIOD
     sin_phi = SIN_PHASE[phase]
     age_mult = 1.0 + 0.01 * (state.age - 20.0)
-    eta = _noise(state.rng_seed, state.t, cfg.noise_sd).tolist()
-    stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
-    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * _SIN_LEAD[phase]) + eta[1]
+    e0, e1, e2 = _noise(state.rng_seed, state.t, cfg.noise_sd)
+    stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + e0
+    strain = cfg.strain_mult * age_mult * action * (0.40 + 0.20 * _SIN_LEAD[phase]) + e1
     shear = (cfg.shear_mult * age_mult * action
-             * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability) + eta[2])
+             * (0.30 + 0.20 * abs(sin_phi) + 0.3 * cfg.instability) + e2)
     # min/max clip each value as np.clip does: the sums are never -0.0, the
     # one input on which the two could differ
     return np.array([min(max(stress, 0.0), 1.0), min(max(strain, 0.0), 1.0),

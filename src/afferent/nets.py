@@ -51,6 +51,7 @@ class MLP:
         if params.shape != (self.n_params,):
             raise ValidationError("parameter vector length mismatch")
         self.weights, self.biases = _layers(self.sizes, params)
+        *self._hidden, self._out = zip(self.weights, self.biases)
 
     @staticmethod
     def count(sizes) -> int:
@@ -71,12 +72,16 @@ class MLP:
         the 1-D (out,); backward takes the cache of a batch.
         """
         hs = [X]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = hs[-1] @ w
+        h = X
+        for w, b in self._hidden:
+            h = h @ w
             h += b
-            hs.append(h if i == last else np.tanh(h, out=h))
-        return hs[-1], hs
+            hs.append(np.tanh(h, out=h))
+        w, b = self._out
+        h = h @ w
+        h += b
+        hs.append(h)
+        return h, hs
 
     def backward(self, cache, grad_out: np.ndarray, out: np.ndarray) -> None:
         """Write the gradient of sum(grad_out * output), a float64 batch, into out."""

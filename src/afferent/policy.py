@@ -170,12 +170,12 @@ def init_policy(dim: int, rng: np.random.Generator, mode: str = "base",
     return policy
 
 
-def _log_prob_z(mu, log_std: float, z):
-    """(log-probability of the pre-squash draws z, their standardized (z - mu) / std)."""
+def _log_prob_z(mu, log_std: float, std, z):
+    """(log-probability of the pre-squash draws z, their (z - mu) / std); std = exp(log_std)."""
     # d * d, not d ** 2: an array squares either way, but a float64 scalar's
     # ** goes through pow, so only d * d gives scalars the same bits.  The
     # last term is log|da/dz| for a = (tanh(z)+1)/2, finite for large |z|.
-    d = (z - mu) / np.exp(log_std)
+    d = (z - mu) / std
     gauss = -0.5 * (d * d) - log_std - _HALF_LOG_2PI
     return gauss - (_LOG_2 - 2.0 * z - 2.0 * softplus(-2.0 * z)), d
 
@@ -192,8 +192,9 @@ def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Genera
     out, _ = policy.actor.forward(obs)
     mu = out[0]
     log_std = policy.log_std
-    z = mu + np.exp(log_std) * rng.standard_normal()
-    logp, _ = _log_prob_z(mu, log_std, z)
+    std = np.exp(log_std)
+    z = mu + std * rng.standard_normal()
+    logp, _ = _log_prob_z(mu, log_std, std, z)
     return float(0.5 * (np.tanh(z) + 1.0)), float(logp), float(z)
 
 
@@ -240,7 +241,7 @@ def ppo_loss_and_grad(policy: PolicyParams, obs, z, logp_old, adv, returns,
     mu = mu_out[:, 0]
     log_std = policy.log_std
     std = np.exp(log_std)
-    logp, zs = _log_prob_z(mu, log_std, z)
+    logp, zs = _log_prob_z(mu, log_std, std, z)
     ratio = np.exp(logp - logp_old)
     # maximum/minimum clip as np.clip does: ratio, an exp, is never -0.0,
     # the one input on which the two could differ

@@ -89,15 +89,12 @@ def t_sf(t: float, df: float) -> float:
 
 @dataclass
 class WelchResult:
-    """Unequal-variance t-test outcome; iterable as (t, df, p)."""
+    """Unequal-variance t-test outcome."""
 
     t: float
     df: float
     p: float
     degenerate: bool = False
-
-    def __iter__(self):
-        return iter((self.t, self.df, self.p))
 
 
 def welch_test(sample_a, sample_b) -> WelchResult:

@@ -3,6 +3,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from afferent import env
+from afferent.afferents import decode_genome, handcrafted_genome
 from afferent.env import (
     COS_PHASE,
     EPISODE_LEN,
@@ -20,8 +22,17 @@ from afferent.env import (
     task_reward,
 )
 from afferent.errors import ConfigError, ValidationError
+from afferent.policy import init_policy, obs_dim
+from afferent.rollout import AgentSetup, evaluate_policy
+from afferent.util import rng_for
 
 QUIET = replace(SCENARIOS["normal"], noise_sd=0.0)
+
+
+@pytest.fixture(autouse=True)
+def empty_noise_table():
+    """Each test starts from an empty row table, whatever ran before it."""
+    env._rows.clear()
 
 
 def state_at(t, age=20.0, seed=0):
@@ -83,18 +94,64 @@ def test_noise_is_counter_deterministic():
     assert not np.array_equal(a, d)
 
 
-def test_noise_equals_a_fresh_philox_draw():
-    # The generator kept between draws must be rewound to the counter with an
-    # empty buffer, whatever seed and counter the previous draw used.
-    def fresh(seed, t, sd):
-        bits = np.random.Philox(key=seed, counter=[t, 0, 0, 0])
-        return np.random.Generator(bits).normal(0.0, sd, size=3)
+def _fresh(seed, t, sd):
+    bits = np.random.Philox(key=seed, counter=[t, 0, 0, 0])
+    return np.random.Generator(bits).normal(0.0, sd, size=3)
 
-    a, b = 11, 2**62 - 5
+
+def test_noise_equals_a_fresh_philox_draw(monkeypatch):
+    # The one Philox must be rewound to the seed and counter with an empty
+    # buffer, whatever the previous miss drew, and a table hit must return
+    # the floats that miss stored.
+    a, b, c = 11, 2**62 - 5, 2**64 + 5
     draws = [(a, 7, 0.02), (b, 7, 0.02), (a, 7, 0.02), (a, 3, 0.02), (a, 7, 0.5),
              (a, 0, 0.02), (a, 10_000, 0.02), (b, 3, 0.0), (b, 3, 0.02), (a, 7, 0.02)]
+    # three seeds interleaved step by step, then each (seed, t) again
+    steps = [(seed, t, 0.02) for t in range(300) for seed in (a, b, c)]
+    draws += steps + steps[::-1]
+    # a second sd at (seed, t) already drawn at 0.02
+    draws += [(seed, t, 0.05) for seed in (a, b, c) for t in (0, 7, 299)]
     for seed, t, sd in draws:
-        assert _noise(seed, t, sd).tobytes() == fresh(seed, t, sd).tobytes()
+        assert np.array(_noise(seed, t, sd)).tobytes() == _fresh(seed, t, sd).tobytes()
+    # past a bound of two blocks, evicted rows are drawn afresh
+    monkeypatch.setattr(env, "_NOISE_BLOCKS", 2)
+    for seed, t, sd in draws:
+        assert np.array(_noise(seed, t, sd)).tobytes() == _fresh(seed, t, sd).tobytes()
+
+
+def test_noise_table_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(env, "_NOISE_BLOCKS", 2)
+    for seed in range(5):
+        for t in (0, 1, 2):
+            _noise(seed, t, 0.02)
+            assert len(env._rows) <= 2
+    assert list(env._rows) == [(3, 0.02, 0), (4, 0.02, 0)]  # oldest left first
+    monkeypatch.undo()
+    for seed in range(env._NOISE_BLOCKS + 10):
+        _noise(seed, 0, 0.02)
+    assert len(env._rows) == env._NOISE_BLOCKS
+
+
+def test_evaluation_ignores_rows_of_another_noise_sd():
+    # A table key without sd would hand this evaluation the rows of the
+    # noisier scenario drawn first at the same seeds.
+    m, k = 6, 3
+    array = decode_genome(handcrafted_genome(m, k), dt=1.0)
+    setup = AgentSetup(scenario=SCENARIOS["normal"], age=60.0, array=array,
+                       episode_len=30)
+    policy = init_policy(obs_dim("base", k, m), rng_for(0, 0), "base", hidden=(8,))
+    seeds = (701, 702)
+    cold = evaluate_policy(setup, policy, seeds, 2)
+    env._rows.clear()
+    noisy = replace(setup, scenario=replace(setup.scenario, noise_sd=0.3))
+    evaluate_policy(noisy, policy, seeds, 2)
+    warm = evaluate_policy(setup, policy, seeds, 2)
+    assert len(warm) == len(cold) == 4
+    for w, c in zip(warm, cold):
+        assert (w.task_mean, w.d_total) == (c.task_mean, c.d_total)
+        assert w.actions.tobytes() == c.actions.tobytes()
+        assert w.cats.tobytes() == c.cats.tobytes()
+        assert w.recalls is c.recalls is None
 
 
 def test_damage_increment_oracle():
@@ -160,7 +217,7 @@ def _ref_features(state, action, cfg):
     phi = 2.0 * np.pi * (state.t % GAIT_PERIOD) / GAIT_PERIOD
     sin_phi = float(np.sin(phi))
     age_mult = 1.0 + 0.01 * (state.age - 20.0)
-    eta = _noise(state.rng_seed, state.t, cfg.noise_sd).tolist()
+    eta = _noise(state.rng_seed, state.t, cfg.noise_sd)
     stress = cfg.stress_mult * age_mult * action * (0.45 + 0.25 * sin_phi) + eta[0]
     strain = (cfg.strain_mult * age_mult * action
               * (0.40 + 0.20 * float(np.sin(phi + np.pi / 3.0))) + eta[1])

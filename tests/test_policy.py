@@ -148,7 +148,7 @@ def test_sample_action_z_matches_batch_path_bits():
         mu = policy.mean(obs[None])
         std = np.exp(policy.log_std)
         z = mu + std * twin.standard_normal((1,))
-        logp, d = _log_prob_z(mu, policy.log_std, z)
+        logp, d = _log_prob_z(mu, policy.log_std, std, z)
         assert d.tobytes() == ((z - mu) / std).tobytes()
         gauss = -0.5 * ((z - mu) / std) ** 2 - policy.log_std - 0.5 * np.log(2.0 * np.pi)
         written = gauss - (np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z))

@@ -80,8 +80,8 @@ def test_welch_degenerate_cases():
     assert rev.t == -math.inf
 
 
-def test_welch_iterable_and_validation():
-    t, df, p = welch_test([1.0, 2.0, 3.0], [1.5, 2.5, 3.5])
-    assert isinstance(t, float) and df > 0 and 0.0 <= p <= 1.0
+def test_welch_fields_and_validation():
+    res = welch_test([1.0, 2.0, 3.0], [1.5, 2.5, 3.5])
+    assert isinstance(res.t, float) and res.df > 0 and 0.0 <= res.p <= 1.0
     with pytest.raises(ValidationError):
         welch_test([1.0], [1.0, 2.0])
