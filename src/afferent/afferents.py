@@ -157,9 +157,13 @@ def compute_cat(arr: AfferentArray, acts: np.ndarray, x: np.ndarray):
         raise ValidationError("feature vector length %d, expected %d" % (x.size, arr.k))
     if not all(map(math.isfinite, x.tolist())):
         raise ValidationError("feature vector contains non-finite values")
-    innovation = sigmoid_array(arr.alpha * (arr.W @ x - arr.theta))
-    next_acts = arr.keep * acts + arr.beta * innovation
-    return float(arr.v @ next_acts), next_acts
+    u = np.dot(arr.W, x)
+    u -= arr.theta
+    u *= arr.alpha
+    innovation = sigmoid_array(u)
+    next_acts = arr.keep * acts
+    next_acts += np.multiply(arr.beta, innovation, out=innovation)
+    return float(np.dot(arr.v, next_acts)), next_acts
 
 
 def handcrafted_genome(m: int, k: int, dt: float = 1.0) -> Genome:

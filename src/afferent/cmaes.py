@@ -87,12 +87,12 @@ def init_evolution(n: int, mean0=None, sigma0: float = 0.5,
     c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
     c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
     chi_n = np.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
-    cov, B, D = _decompose(np.eye(n))
+    cov = B = np.eye(n)  # the start state C = B = I, D = 1 needs no eigh
     return EvolutionState(
         n=n, mean=mean, sigma=float(sigma0), cov=cov, p_sigma=np.zeros(n),
         p_c=np.zeros(n), generation=0, popsize=int(popsize), weights=w,
         mu_eff=mu_eff, c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c, c_1=c_1,
-        c_mu=c_mu, chi_n=chi_n, B=B, D=D,
+        c_mu=c_mu, chi_n=chi_n, B=B, D=np.ones(n),
         rng=np.random.default_rng(np.random.SeedSequence(int(seed))),
     )
 

@@ -80,21 +80,21 @@ class Window:
     The steps are [x | activations | cat] rows, oldest first, of a
     PRE_WINDOW-row array allocated by the first push, which also fixes K.  A
     stream pushes each step once, when it senses it, so the step's query and
-    a capture it opens take the same key.
+    a capture it opens share one key, which key() keeps until the next push or clear.
     """
 
     def __init__(self):
-        self.n = 0
         self.steps = None
-        self.pending: list[_Pending] = []
+        self.clear()
 
     def __len__(self) -> int:
         return self.n
 
     def clear(self) -> None:
-        """Drop the recorded steps and the open captures."""
+        """Drop the recorded steps, the open captures and the key."""
         self.n = 0
-        self.pending = []
+        self.pending: list[_Pending] = []
+        self._key = None
 
     def push(self, x, activations, cat) -> None:
         """Record one step, evicting the oldest once PRE_WINDOW are held."""
@@ -109,6 +109,7 @@ class Window:
         step[self.k:-1] = activations
         step[-1] = cat
         self.n += 1
+        self._key = None
 
     def key(self) -> np.ndarray:
         """Unit context key of the recorded steps; needs at least two.
@@ -117,6 +118,8 @@ class Window:
         finite-difference (x_last − x_first)/(steps−1) (K)], then L2-normalized;
         an all-zero summary falls back to the first basis vector.
         """
+        if self._key is not None:
+            return self._key
         n, k = self.n, self.k
         rows = self.steps[:n]
         raw = np.empty(rows.shape[1] + k)
@@ -131,6 +134,7 @@ class Window:
             raw[0] = 1.0
         else:
             raw /= norm
+        self._key = raw
         return raw
 
 

@@ -6,6 +6,8 @@ matrix and bias are reshaped views into that vector in the order W0
 (row-major), b0, W1, b1, ...  Backward writes the gradient into the same
 layout, and Adam updates the vector in place, so optimizer state and
 finite-difference checks work on the one array the forward pass reads.
+Products are ``np.dot``: ``@``'s bits on these nets' shapes, less overhead, and
+an ``out=`` that must be C-contiguous, as the gradient vector's layer views are.
 """
 
 from __future__ import annotations
@@ -71,14 +73,13 @@ class MLP:
         X is a float64 batch (n x in) or a single row (in,), whose output is
         the 1-D (out,); backward takes the cache of a batch.
         """
-        hs = [X]
-        h = X
+        h, hs = X, [X]
         for w, b in self._hidden:
-            h = h @ w
+            h = np.dot(h, w)
             h += b
             hs.append(np.tanh(h, out=h))
         w, b = self._out
-        h = h @ w
+        h = np.dot(h, w)
         h += b
         hs.append(h)
         return h, hs
@@ -88,11 +89,11 @@ class MLP:
         grads_w, grads_b = _layers(self.sizes, out)
         delta = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(cache[i].T, delta, out=grads_w[i])
+            np.dot(cache[i].T, delta, out=grads_w[i])
             np.add.reduce(delta, axis=0, out=grads_b[i])
             if i > 0:
                 # cache[i] holds tanh(z) for hidden layers, so 1 - h^2 is tanh'
-                delta = (delta @ self.weights[i].T) * (1.0 - cache[i] ** 2)
+                delta = np.dot(delta, self.weights[i].T) * (1.0 - cache[i] ** 2)
 
 
 class Adam:
@@ -112,7 +113,8 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """params -= lr * m_hat / (sqrt(v_hat) + eps), every buffer updated in place."""
-        if not np.isfinite(grad).all():
+        # a finite sum of squares clears grad; only an overflowed one is checked per entry
+        if not math.isfinite(grad @ grad) and not np.isfinite(grad).all():
             raise TrainingError("non-finite gradient")
         self.t += 1
         a, b = self._a, self._b

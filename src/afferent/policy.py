@@ -36,8 +36,8 @@ __all__ = [
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_LOG_2 = np.log(2.0)
+_HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
+_LOG_2 = float(np.log(2.0))
 
 
 @dataclass
@@ -172,8 +172,8 @@ def init_policy(dim: int, rng: np.random.Generator, mode: str = "base",
 
 def _log_prob_z(mu, log_std: float, std, z):
     """(log-probability of the pre-squash draws z, their (z - mu) / std); std = exp(log_std)."""
-    # d * d, not d ** 2: an array squares either way, but a float64 scalar's
-    # ** goes through pow, so only d * d gives scalars the same bits.  The
+    # d * d, not d ** 2: an array squares either way, but a float's ** goes
+    # through pow, so only d * d gives floats the same bits.  The
     # last term is log|da/dz| for a = (tanh(z)+1)/2, finite for large |z|.
     d = (z - mu) / std
     gauss = -0.5 * (d * d) - log_std - _HALF_LOG_2PI
@@ -185,17 +185,17 @@ def sample_action_z(policy: PolicyParams, obs: np.ndarray, rng: np.random.Genera
 
     Updates recompute log-probabilities at the stored z, so the squash
     inversion never has to run on saturated actions.  The actor runs on the
-    1-D observation, giving mu of shape (1,) as a batch of one does; the
-    rest runs on float64 scalars, whose operations round as the arrays' do,
-    and one scalar normal draw is the draw of a size-1 array.
+    1-D observation, giving mu of shape (1,) as a batch of one does; the rest
+    runs on and returns Python floats, which round as the arrays do (exp, log1p
+    and tanh stay numpy ufuncs); one scalar normal draw is a size-1 array's.
     """
     out, _ = policy.actor.forward(obs)
-    mu = out[0]
+    mu = float(out[0])
     log_std = policy.log_std
-    std = np.exp(log_std)
+    std = float(np.exp(log_std))
     z = mu + std * rng.standard_normal()
     logp, _ = _log_prob_z(mu, log_std, std, z)
-    return float(0.5 * (np.tanh(z) + 1.0)), float(logp), float(z)
+    return float(0.5 * (np.tanh(z) + 1.0)), logp, z
 
 
 def gae(rewards, values, dones, gamma: float, lam: float, last_value: float = 0.0):

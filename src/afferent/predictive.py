@@ -44,9 +44,11 @@ class SafeStateModel:
             raise ValidationError("safe-state model shape mismatch")
 
     def predict(self, x: np.ndarray, action: float, context: np.ndarray) -> np.ndarray:
-        z = np.concatenate((x, (action,), context))
-        if z.shape[0] != self.A.shape[1]:
+        k = len(x)
+        if k + 1 + len(context) != self.A.shape[1]:
             raise ValidationError("safe-state model input length mismatch")
+        z = np.empty(self.A.shape[1])
+        z[:k], z[k], z[k + 1:] = x, action, context
         return self.A @ z + self.b
 
 

@@ -25,8 +25,16 @@ def sigmoid(x: float) -> float:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """sigmoid of a float64 array, unconverted; each element has sigmoid's bits."""
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    """sigmoid of a float64 array, in two new arrays; each element has sigmoid's bits."""
+    if not x.ndim:  # ufuncs return scalars on 0-d input, and a scalar takes no out
+        return sigmoid_array(x.reshape(1))[0]
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    den = np.copysign(x, -1.0)  # -|x|: the bits of negative(abs(x)), NaN too, in one call
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def softplus(x):

@@ -116,3 +116,18 @@ def test_rank_based_invariance():
     assert np.allclose(a.mean, b.mean, atol=1e-12)
     assert np.allclose(a.cov, b.cov, atol=1e-12)
     assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
+
+
+def test_fresh_state_is_the_identity_start_and_first_ask_draws_from_it():
+    n = 448
+    state = init_evolution(n, mean0=np.linspace(-1.0, 1.0, n), sigma0=0.3,
+                           popsize=8, seed=4)
+    assert state.cov.tobytes() == np.eye(n).tobytes()
+    assert state.B.tobytes() == np.eye(n).tobytes()
+    assert state.D.tobytes() == np.ones(n).tobytes()
+    twin = np.random.default_rng(np.random.SeedSequence(4))
+    z = twin.standard_normal((8, n))
+    cands = ask(state)
+    for c, zi in zip(cands, z):
+        assert c.tobytes() == (state.mean + state.sigma * zi).tobytes()
+    assert state.rng.standard_normal() == twin.standard_normal()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afferent import memory
 from afferent.errors import ValidationError
 from afferent.memory import (
     EPS_WEIGHT,
@@ -400,3 +401,38 @@ def test_query_empty_paths():
     window.push([0.1, 0.1], [0.0, 0.0], 0.0)
     res2 = store.query(window)
     assert res2.y_hat == 0.0 and res2.d_mean == 0.0
+
+
+def test_one_key_per_sensed_step(monkeypatch):
+    # The step's query and the capture it opens share one key; a push or a
+    # clear followed by new steps gets a fresh one, with the stacked oracle's bits.
+    rng = np.random.default_rng(8)
+    store, window = MemoryStore(eps_d=0.0), Window()
+    store.insert(np.eye(7)[0], 1.0)
+    steps = [(rng.uniform(size=2), rng.uniform(size=2), float(rng.uniform()))
+             for _ in range(4)]
+    for s in steps[:2]:
+        window.push(*s)
+    used = []
+
+    def spy(store_, key, k_ret):
+        used.append(key)
+        return retrieve(store_, key, k_ret)
+
+    monkeypatch.setattr(memory, "retrieve", spy)
+    store.query(window)
+    assert maybe_capture(store, window, 0.0, 1e-3)
+    assert window.pending[0].key is used[0] is window.key()
+    assert used[0].tobytes() == encode_key(steps[:2], 2).tobytes()
+
+    window.push(*steps[2])
+    fresh = window.key()
+    assert fresh is not used[0]
+    assert fresh.tobytes() == encode_key(steps[:3], 3).tobytes()
+    assert used[0].tobytes() == encode_key(steps[:2], 2).tobytes()  # left as it was
+
+    window.clear()
+    for s in steps[2:]:
+        window.push(*s)
+    assert window.key() is not fresh
+    assert window.key().tobytes() == encode_key(steps[2:], 2).tobytes()

@@ -141,3 +141,78 @@ def test_clip_grad():
         norm = float(np.linalg.norm(g))
         want = g * (0.5 / norm) if norm > 0.5 else g
         assert clip_grad(g, 0.5).tobytes() == want.tobytes()
+
+
+def _matmul_forward(net, X):
+    """Oracle forward pass written with @, the form np.dot must reproduce."""
+    hs, h = [X], X
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        hs.append(h)
+    return h @ net.weights[-1] + net.biases[-1], hs
+
+
+def _matmul_backward(net, cache, grad_out):
+    """Oracle gradient vector written with @, in the flat layout."""
+    want = np.empty(net.n_params)
+    oracle = MLP(net.sizes, want)
+    delta = grad_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        oracle.weights[i][...] = cache[i].T @ delta
+        oracle.biases[i][...] = np.add.reduce(delta, axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (1.0 - cache[i] ** 2)
+    return want
+
+
+@pytest.mark.parametrize("dim", [68, 70])
+def test_forward_and_backward_equal_matmul_oracle_bits(dim):
+    # The policy nets' shapes: a single row, PPO minibatches of 64 rows and a
+    # 1024-row rollout batch; backward with rows of +0.0 and -0.0 in grad_out.
+    rng = rng_for(13, dim)
+    for out_gain in (0.01, 1.0):
+        net = make_mlp([dim, 64, 64, 1], rng, out_gain)
+        for rows in (None, 64, 1024):
+            X = rng.normal(size=dim if rows is None else (rows, dim)) * 3.0
+            out, cache = net.forward(X)
+            want, want_cache = _matmul_forward(net, X)
+            assert out.tobytes() == want.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, want_cache))
+            if rows is None:
+                continue
+            G = rng.normal(size=(rows, 1)) / rows
+            G[::3] = 0.0
+            G[1::3] = -0.0
+            for grad_out in (G, np.full((rows, 1), -0.0)):
+                grad = np.empty(net.n_params)
+                net.backward(cache, grad_out, grad)
+                want_grad = _matmul_backward(net, want_cache, grad_out)
+                assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_nan_and_inf_entries(bad):
+    opt = Adam(4, lr=0.1)
+    params = np.ones(4)
+    grad = np.array([0.5, bad, -0.25, 0.0])
+    with pytest.raises(TrainingError):
+        opt.step(params, grad)
+    assert np.array_equal(params, np.ones(4)) and opt.t == 0
+
+
+def test_adam_steps_on_a_finite_gradient_whose_squares_overflow():
+    # grad @ grad overflows to inf, yet every entry is finite: Adam steps,
+    # with the bits of the update written as new vectors.
+    params = np.linspace(-1.0, 1.0, 5)
+    want = params.copy()
+    grad = np.array([1e200, -1e200, 3.0, 0.0, 1e-3])
+    opt = Adam(5, lr=0.1)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grad @ grad)
+        opt.step(params, grad)
+        m = (1.0 - Adam.beta1) * grad
+        v = (1.0 - Adam.beta2) * grad**2
+        want = want - 0.1 * (m / (1.0 - Adam.beta1)) / (
+            np.sqrt(v / (1.0 - Adam.beta2)) + Adam.eps)
+    assert opt.t == 1
+    assert params.tobytes() == want.tobytes()

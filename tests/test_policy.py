@@ -121,6 +121,7 @@ def test_sample_action_range_and_determinism():
     assert np.all(np.isfinite([lp for _, lp, _ in draws]))
     again = sample_action_z(policy, obs, rng_for(9, 0))
     assert again == draws[0]
+    assert all(type(v) is float for draw in draws for v in draw)
 
 
 def test_sample_action_z_consistency():
