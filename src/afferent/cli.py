@@ -12,7 +12,9 @@ import sys
 from . import harness
 from .config import (
     ABLATIONS,
+    DEFAULTS,
     ExperimentConfig,
+    _parse_scalar,
     apply_cli_overrides,
     load_config,
 )
@@ -60,9 +62,9 @@ def _resolve_config(args) -> ExperimentConfig:
     ages = None
     if args.ages is not None:
         try:
-            ages = tuple(float(p) for p in args.ages.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --ages value {args.ages!r}") from exc
+            ages = _parse_scalar(args.ages, DEFAULTS["ages"])
+        except ConfigError as exc:
+            raise ConfigError(f"--ages: {exc}") from None
     return apply_cli_overrides(
         cfg, seed=args.seed, out=args.out, ablation=args.ablation,
         ages=ages, scenario=args.scenario, steps=args.steps, jobs=args.jobs,

@@ -14,13 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, TrainingError, ValidationError
 
-__all__ = ["EvolutionState", "init_evolution", "ask", "tell", "default_popsize"]
+__all__ = ["EvolutionState", "init_evolution", "ask", "tell"]
 
 _EIG_FLOOR = 1e-14
-
-
-def default_popsize(n: int) -> int:
-    return 4 + int(3 * np.log(n))
 
 
 @dataclass
@@ -63,13 +59,11 @@ def _decompose(cov: np.ndarray):
     return cov, B, np.sqrt(ev)
 
 
-def init_evolution(n: int, mean0=None, sigma0: float = 0.5,
-                   popsize: int | None = None, seed: int = 0) -> EvolutionState:
+def init_evolution(n: int, mean0=None, sigma0: float = 0.5, *,
+                   popsize: int, seed: int = 0) -> EvolutionState:
     """Fresh CMA-ES state with the standard strategy parameters for (n, λ)."""
     if n <= 0:
         raise ConfigError("dimension must be positive")
-    if popsize is None:
-        popsize = default_popsize(n)
     if popsize < 2:
         raise ConfigError("popsize must be at least 2")
     if not sigma0 > 0:

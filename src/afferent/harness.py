@@ -2,15 +2,14 @@
 
 Each operation reads an ExperimentConfig, runs the relevant pipeline, and
 writes into a fixed output tree: out/{runs/*.jsonl, reports/*.json,
-curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells run
-on cfg.jobs processes in total: the calling process plus cfg.jobs - 1 forked
-workers.  Every cell derives its randomness from its own seeds, so the
-process count never changes results.
+curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells are
+dealt round-robin over cfg.jobs processes in total: the calling process plus
+cfg.jobs - 1 forked workers.  Every cell derives its randomness from its own
+seeds, so neither the process count nor a cell's placement changes results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -206,65 +205,28 @@ def _fail(out: Path, failures: list, logs=()):
     raise TrainingError(f"{len(failures)} cell(s) failed; first: {failures[0]['error']}")
 
 
-# A pool worker's shared cursor, set as the worker starts: a synchronized
-# array cannot be sent with a task.
-_cursor = None
-
-
-def _init_worker(cursor) -> None:
-    global _cursor
-    _cursor = cursor
-
-
-def _claim(cursor, front: bool):
-    """Take the next index of [cursor[0], cursor[1]) from one end, or None."""
-    with cursor.get_lock():
-        lo, hi = cursor[0], cursor[1]
-        if lo >= hi:
-            return None
-        if front:
-            cursor[0] = lo + 1
-            return lo
-        cursor[1] = hi - 1
-        return hi - 1
-
-
-def _drain(fn, items, front: bool = True, cursor=None) -> dict:
-    """{index: fn(items[index])} for every index claimed until none is left.
-
-    A pool worker drains from the front through its own cursor.  If fn
-    raises, the cursor is exhausted first, so no process starts another item.
-    """
-    cursor = _cursor if cursor is None else cursor
-    done = {}
-    try:
-        while (i := _claim(cursor, front)) is not None:
-            done[i] = fn(items[i])
-    except BaseException:
-        with cursor.get_lock():
-            cursor[0] = cursor[1]
-        raise
-    return done
+def _map_slice(fn, items) -> list:
+    return [fn(it) for it in items]
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
-    """[fn(it) for it in items] on min(jobs, len(items)) processes in total.
+    """[fn(it) for it in items] on P = min(jobs, len(items)) processes in total.
 
-    The caller is one of them: it claims items from the back of a shared
-    cursor while the forked workers claim from the front, and each worker
-    sends its results back once, when nothing is left to claim.
+    Items are dealt round-robin: slice p is items[p::P].  The caller runs
+    slice 0; slices 1..P-1 go as one task each to a pool of P - 1 forked
+    workers, which send each slice's results back at once.  If fn raises,
+    the other slices still finish before the exception propagates.
     """
-    workers = min(jobs, len(items)) - 1
-    if workers < 1:
-        return [fn(it) for it in items]
-    ctx = multiprocessing.get_context()
-    cursor = ctx.Array("q", [0, len(items)])
-    with ProcessPoolExecutor(workers, ctx, _init_worker, (cursor,)) as pool:
-        drains = [pool.submit(_drain, fn, items) for _ in range(workers)]
-        done = _drain(fn, items, front=False, cursor=cursor)
-        for d in drains:
-            done.update(d.result())
-    return [done[i] for i in range(len(items))]
+    procs = min(jobs, len(items))
+    if procs < 2:
+        return _map_slice(fn, items)
+    out = [None] * len(items)
+    with ProcessPoolExecutor(procs - 1) as pool:
+        slices = [pool.submit(_map_slice, fn, items[p::procs]) for p in range(1, procs)]
+        out[0::procs] = _map_slice(fn, items[0::procs])
+        for p, sl in enumerate(slices, start=1):
+            out[p::procs] = sl.result()
+    return out
 
 
 # ---------------------------------------------------------------------------

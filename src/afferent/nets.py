@@ -133,8 +133,15 @@ class Adam:
 
 
 def clip_grad(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale the gradient down to the given global L2 norm if it exceeds it."""
+    """Scale the gradient down to the given global L2 norm if it exceeds it.
+
+    A finite gradient whose sum of squares overflows is divided by its
+    largest |entry| first; inf or NaN entries pass on to Adam.step's check.
+    """
     norm = math.sqrt(grad @ grad)  # np.linalg.norm's form for a vector
+    if norm == math.inf and math.isfinite(scale := float(np.abs(grad).max())):
+        unit = grad / scale
+        return unit * (max_norm / math.sqrt(unit @ unit))
     if norm > max_norm and norm > 0:
         return grad * (max_norm / norm)
     return grad

@@ -74,10 +74,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 def test_bad_ages_exits_2(micro_config, tmp_path, capsys):
-    rc = main(["simulate", "--config", micro_config,
-               "--out", str(tmp_path / "o"), "--ages", "sixty"])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    for ages in ("sixty", "60,", "60,,80"):  # as strict as `ages = ...` in a config
+        rc = main(["simulate", "--config", micro_config,
+                   "--out", str(tmp_path / "o"), "--ages", ages])
+        assert rc == 2
+        assert "config error: --ages" in capsys.readouterr().err
 
 
 def test_evaluate_without_policy_exits_2(micro_config, tmp_path, capsys):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from afferent.cmaes import ask, default_popsize, init_evolution, tell
+from afferent.cmaes import ask, init_evolution, tell
 from afferent.errors import ConfigError, ValidationError
 
 
-def sphere_best(seed, n=6, gens=300, popsize=None):
+def sphere_best(seed, n=6, gens=300, popsize=9):
     state = init_evolution(n, mean0=np.full(n, 2.0), sigma0=0.5,
                            popsize=popsize, seed=seed)
     best = np.inf
@@ -17,20 +17,15 @@ def sphere_best(seed, n=6, gens=300, popsize=None):
     return best
 
 
-def test_default_popsize():
-    assert default_popsize(10) == 4 + int(3 * np.log(10))
-    assert default_popsize(1) == 4
-
-
 def test_init_validation():
     with pytest.raises(ConfigError):
-        init_evolution(0)
+        init_evolution(0, popsize=4)
     with pytest.raises(ConfigError):
         init_evolution(4, popsize=1)
     with pytest.raises(ConfigError):
-        init_evolution(4, sigma0=0.0)
+        init_evolution(4, sigma0=0.0, popsize=4)
     with pytest.raises(ConfigError):
-        init_evolution(4, mean0=np.zeros(3))
+        init_evolution(4, mean0=np.zeros(3), popsize=4)
 
 
 def test_init_strategy_parameters():

@@ -245,6 +245,15 @@ def test_parallel_map_matches_serial_map_on_jobs_processes(n, jobs):
     assert len({pid for _, pid in got}) <= min(jobs, n)
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("n", [7, 20])
+def test_parallel_map_deals_items_round_robin_starting_in_the_caller(n, jobs):
+    pids = [pid for _, pid in _parallel_map(_with_pid, list(range(n)), jobs)]
+    assert pids[0] == os.getpid()
+    assert os.getpid() not in pids[1:jobs]
+    assert all(pids[i] == pids[i % jobs] for i in range(n))
+
+
 def _fail_on_one_side(item):
     """Raise on the side (caller or worker) the item names; slow the other one."""
     side, caller_pid, i = item

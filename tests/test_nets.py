@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,21 @@ def test_clip_grad():
     for _ in range(200):
         g = rng.normal(size=int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-6, 4)
         norm = float(np.linalg.norm(g))
+        want = g * (0.5 / norm) if norm > 0.5 else g
+        assert clip_grad(g, 0.5).tobytes() == want.tobytes()
+
+
+def test_clip_grad_rescales_only_a_finite_gradient_whose_squares_overflow():
+    assert clip_grad(np.array([1e200, 1.0]), 0.5).tolist() == [0.5, 5e-201]
+    huge = np.array([-1e300, 1e300, 3e299])
+    assert np.linalg.norm(clip_grad(huge, 2.0) / 2.0) == pytest.approx(1.0, rel=1e-15)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(TrainingError):
+            Adam(2, lr=0.1).step(np.ones(2), clip_grad(np.array([1e200, bad]), 0.5))
+    rng = rng_for(10)
+    for _ in range(200):  # squares that stay finite keep the plain formula's bytes
+        g = rng.normal(size=int(rng.integers(1, 500))) * 10.0 ** rng.integers(-150, 150)
+        norm = math.sqrt(g @ g)
         want = g * (0.5 / norm) if norm > 0.5 else g
         assert clip_grad(g, 0.5).tobytes() == want.tobytes()
 
