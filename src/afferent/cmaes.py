@@ -4,6 +4,11 @@ Maximization convention throughout: candidates are ranked by descending
 fitness.  The state is value-like; tell returns a new state and never mutates
 its argument (the sampling Generator itself is owned by the state and
 advances as candidates are drawn).
+
+A tell at n = 448 sets the evolve pipeline's peak memory, so tell and
+_decompose hold at most three n x n buffers of their own at once: the new
+covariance, a term buffer (the eigenvectors, in _decompose) and one temporary,
+besides eigh's workspace and the argument state's cov and B.
 """
 
 from __future__ import annotations
@@ -44,8 +49,13 @@ class EvolutionState:
 
 
 def _decompose(cov: np.ndarray):
-    """Eigendecomposition with a floor on eigenvalues; one jittered retry."""
-    cov = 0.5 * (cov + cov.T)
+    """Eigendecomposition with a floor on eigenvalues; one jittered retry.
+
+    Consumes cov: it is symmetrized in place and its buffer then holds the
+    returned covariance, so the caller passes a matrix it owns and reads no more.
+    """
+    cov += cov.T
+    cov *= 0.5
     try:
         ev, B = np.linalg.eigh(cov)
     except np.linalg.LinAlgError:
@@ -54,8 +64,9 @@ def _decompose(cov: np.ndarray):
         except np.linalg.LinAlgError as exc:
             raise TrainingError("covariance eigendecomposition failed twice") from exc
     ev = np.maximum(ev, _EIG_FLOOR)
-    cov = (B * ev) @ B.T
-    cov = 0.5 * (cov + cov.T)
+    full = np.multiply(B, ev, out=cov) @ B.T
+    np.add(full, full.T, out=cov)
+    cov *= 0.5
     return cov, B, np.sqrt(ev)
 
 
@@ -126,10 +137,9 @@ def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:
     y_w = state.weights @ Y
 
     mean_new = state.mean + state.sigma * y_w
-    inv_sqrt = (state.B / state.D) @ state.B.T
     p_sigma = (1.0 - state.c_sigma) * state.p_sigma + np.sqrt(
         state.c_sigma * (2.0 - state.c_sigma) * state.mu_eff
-    ) * (inv_sqrt @ y_w)
+    ) * ((state.B / state.D) @ state.B.T @ y_w)
     g1 = state.generation + 1
     ps_norm = float(np.linalg.norm(p_sigma))
     h_sigma = float(
@@ -140,12 +150,17 @@ def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:
         state.c_c * (2.0 - state.c_c) * state.mu_eff
     ) * y_w
     delta_h = (1.0 - h_sigma) * state.c_c * (2.0 - state.c_c)
-    rank_mu = (Y.T * state.weights) @ Y
-    cov = (
-        (1.0 - state.c_1 - state.c_mu) * state.cov
-        + state.c_1 * (np.outer(p_c, p_c) + delta_h * state.cov)
-        + state.c_mu * rank_mu
-    )
+    # C' = (1 - c1 - cmu) C + c1 (p_c p_c^T + delta_h C) + cmu rank_mu, built in
+    # place with the same operations in the same order.
+    cov = (1.0 - state.c_1 - state.c_mu) * state.cov
+    term = np.outer(p_c, p_c)
+    term += delta_h * state.cov
+    term *= state.c_1
+    cov += term
+    np.matmul(Y.T * state.weights, Y, out=term)
+    term *= state.c_mu
+    cov += term
+    del term
     sigma = state.sigma * float(
         np.exp((state.c_sigma / state.d_sigma) * (ps_norm / state.chi_n - 1.0))
     )
