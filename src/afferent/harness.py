@@ -10,7 +10,6 @@ seeds, so neither the process count nor a cell's placement changes results.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import asdict, replace
 from pathlib import Path
 from zipfile import BadZipFile
@@ -213,9 +212,9 @@ def _parallel_map(fn, items, jobs: int) -> list:
     """[fn(it) for it in items] on P = min(jobs, len(items)) processes in total.
 
     Items are dealt round-robin: slice p is items[p::P].  The caller runs
-    slice 0; slices 1..P-1 each go as one task to a forked worker of its own,
-    which sends the slice's results back at once.  If fn raises, the other
-    slices still finish before the exception propagates.
+    slice 0; slices 1..P-1 go as one task each to a pool of P - 1 forked
+    workers, which send each slice's results back at once.  If fn raises,
+    the other slices still finish before the exception propagates.
     """
     procs = min(jobs, len(items))
     if procs < 2:
@@ -224,12 +223,8 @@ def _parallel_map(fn, items, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     out = [None] * len(items)
-    with ExitStack() as stack:
-        # One single-worker pool per slice: a shared pool queues tasks ahead of
-        # idle workers, so one worker could take two slices.
-        pools = [stack.enter_context(ProcessPoolExecutor(1)) for _ in range(1, procs)]
-        slices = [pool.submit(_map_slice, fn, items[p::procs])
-                  for p, pool in enumerate(pools, start=1)]
+    with ProcessPoolExecutor(procs - 1) as pool:
+        slices = [pool.submit(_map_slice, fn, items[p::procs]) for p in range(1, procs)]
         out[0::procs] = _map_slice(fn, items[0::procs])
         for p, sl in enumerate(slices, start=1):
             out[p::procs] = sl.result()

@@ -207,7 +207,7 @@ def test_tell_holds_few_square_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * n * n * 8
+    assert peak <= 3.5 * n * n * 8
 
 
 def _spd(n, seed=8):
