@@ -148,7 +148,7 @@ class ExperimentConfig:
                             ("predictive.lambda_pred", (self.pred_lambda_pred,)),
                             ("memory.eps_d", (self.memory_eps_d,)),
                             ("memory.kappa_cat", (self.memory_kappa_cat,))):
-            if any(v < 0 for v in values):
+            if not all(v >= 0 for v in values):
                 raise ConfigError(f"{key} must be >= 0")
         if not self.pred_lambda_env + self.pred_lambda_pred > 0:
             raise ConfigError("predictive.lambda_env + predictive.lambda_pred must be positive")

@@ -17,6 +17,7 @@ import numpy as np
 from .afferents import Genome
 from .cmaes import ask, init_evolution, tell
 from .errors import TrainingError, ValidationError
+from .metrics import pool
 from .policy import PPOConfig
 from .rollout import evaluate_policy, rl_train
 from .util import percentile_95, rng_for
@@ -75,10 +76,9 @@ def evaluate_fitness(genome: Genome, spec: FitnessSpec, build, ppo_cfg: PPOConfi
             result = rl_train(setup, cfg, int(rl_seed))
         except TrainingError:
             return float("-inf")
-        stats = evaluate_policy(setup, result.policy, spec.eval_seeds, spec.eval_episodes)
-        task = float(np.mean([s.task_mean for s in stats]))
-        d_total = float(np.mean([s.d_total for s in stats]))
-        scores.append(task - spec.gamma_d * d_total)
+        pooled = pool(evaluate_policy(setup, result.policy, spec.eval_seeds,
+                                      spec.eval_episodes))
+        scores.append(pooled.task_mean - spec.gamma_d * pooled.d_total)
     if _genome_hash(genome) != before:
         raise ValidationError("genome mutated during fitness evaluation")
     return float(np.mean(scores))

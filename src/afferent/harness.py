@@ -6,6 +6,8 @@ curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells are
 dealt round-robin over cfg.jobs processes in total: the calling process plus
 cfg.jobs - 1 forked workers.  Every cell derives its randomness from its own
 seeds, so neither the process count nor a cell's placement changes results.
+Evaluations are pooled, summarized and compared in metrics.py; this module
+runs the cells and writes the results.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from .config import ABLATIONS, ARMS, FITNESS_ARM, Arm, ExperimentConfig
 from .errors import ConfigError, TrainingError, ValidationError
 from .evolution import evaluate_fitness, lipschitz_probe, run_evolution
 from .memory import MemoryStore
-from .metrics import (
-    SAFE_ACTION_THRESHOLD,
-    MetricsReport,
-    RunLog,
-    _welch_dict,
-    age_key,
-    compute_metrics,
-)
+from .metrics import MetricsReport, age_key, compare_arms, compute_metrics, pool, summary
 from .policy import obs_dim
 from .rollout import AgentSetup, calibrate_predictive, evaluate_policy, rl_train
 from .storage import (
@@ -129,37 +124,8 @@ def _build_setup(cfg: ExperimentConfig, arm: Arm, genome: Genome,
     )
 
 
-def _summary(rec) -> dict:
-    """Report fields of an evaluation: one EpisodeStats or one cell's RunLog."""
-    row = {
-        "d_total": float(rec.d_total),
-        "task_mean": float(rec.task_mean),
-        "action_mean": float(rec.actions.mean()),
-        "safe_fraction": float((rec.actions < SAFE_ACTION_THRESHOLD).mean()),
-    }
-    if rec.cats is not None:
-        row["cat_mean"] = float(rec.cats.mean())
-    if rec.recalls is not None:
-        row["recall_mean"] = float(rec.recalls.mean())
-    return row
-
-
-def _episode_rows(stats) -> list:
-    return [{"episode": i, **_summary(ep)} for i, ep in enumerate(stats)]
-
-
-def _run_log(stats, variant: str, age: float, seed: int) -> RunLog:
-    has_cat = stats[0].cats is not None
-    has_recall = stats[0].recalls is not None
-    return RunLog(
-        variant=variant, age=float(age), seed=int(seed),
-        d_total=float(np.mean([ep.d_total for ep in stats])),
-        task_mean=float(np.mean([ep.task_mean for ep in stats])),
-        actions=np.concatenate([ep.actions for ep in stats]),
-        cats=np.concatenate([ep.cats for ep in stats]) if has_cat else None,
-        recalls=(np.concatenate([ep.recalls for ep in stats])
-                 if has_recall else None),
-    )
+def _episode_rows(episodes) -> list:
+    return [{"episode": i, **summary(ep)} for i, ep in enumerate(episodes)]
 
 
 def _train_eval_cell(args):
@@ -171,11 +137,11 @@ def _train_eval_cell(args):
     except TrainingError as exc:
         return {"failure": {"variant": variant, "age": float(age),
                             "seed": int(seed), "error": str(exc)}}
-    stats = evaluate_policy(setup, result.policy, cfg.eval_seeds,
-                            cfg.eval_episodes)
+    episodes = evaluate_policy(setup, result.policy, cfg.eval_seeds,
+                               cfg.eval_episodes)
     return {
-        "run_log": _run_log(stats, variant, age, seed),
-        "episodes": _episode_rows(stats),
+        "run_log": pool(episodes, variant=variant, age=float(age), seed=int(seed)),
+        "episodes": _episode_rows(episodes),
         "history": result.history,
         "policy": result.policy,
     }
@@ -223,8 +189,8 @@ def _parallel_map(fn, items, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     out = [None] * len(items)
-    with ProcessPoolExecutor(procs - 1) as pool:
-        slices = [pool.submit(_map_slice, fn, items[p::procs]) for p in range(1, procs)]
+    with ProcessPoolExecutor(procs - 1) as executor:
+        slices = [executor.submit(_map_slice, fn, items[p::procs]) for p in range(1, procs)]
         out[0::procs] = _map_slice(fn, items[0::procs])
         for p, sl in enumerate(slices, start=1):
             out[p::procs] = sl.result()
@@ -295,7 +261,7 @@ def train(cfg: ExperimentConfig) -> dict:
         "age": age,
         "seed": int(cfg.seed),
         "steps": int(cfg.ppo.total_steps),
-        "eval": _summary(cell["run_log"]),
+        "eval": summary(cell["run_log"]),
         "policy_file": f"genomes/policy_{tag}.bin",
     }
     write_json_report(out / "reports" / f"train_{tag}.json", report)
@@ -346,11 +312,11 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     logs = []
     for age in cfg.ages:
         setup = _build_setup(cfg, arm, genome, age, model, disc)
-        stats = evaluate_policy(setup, policy, cfg.eval_seeds, cfg.eval_episodes)
-        logs.append(_run_log(stats, cfg.ablation, age, cfg.seed))
+        episodes = evaluate_policy(setup, policy, cfg.eval_seeds, cfg.eval_episodes)
+        logs.append(pool(episodes, variant=cfg.ablation, age=float(age), seed=int(cfg.seed)))
         write_jsonl(
             out / "runs" / f"evaluate_{cfg.scenario}_age{age_key(age)}.jsonl",
-            _episode_rows(stats),
+            _episode_rows(episodes),
         )
     report = compute_metrics(logs)
     write_json_report(out / "reports" / f"evaluate_{cfg.scenario}.json",
@@ -363,8 +329,9 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
 
     Arms other than no_evolution share one genome: the configured file if
     given, otherwise the best genome from a fresh outer-loop run.  Returns
-    {variant: MetricsReport}; the aggregate report adds cross-variant Welch
-    comparisons against the full system.
+    {variant: MetricsReport}.  reports/ablation.json holds these reports
+    under "variants", metrics.compare_arms' full-vs-arm Welch tests under
+    "welch", and their count as "bonferroni_multiplier".
     """
     out = Path(cfg.out)
     if genome is None:
@@ -399,24 +366,9 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     if failures:
         _fail(out, failures, logs)
 
-    run_logs = {v: [log for log in logs if log.variant == v] for v in ABLATIONS}
-    reports = {v: compute_metrics(run_logs[v]) for v in ABLATIONS}
-    welch = {}
-    for age in cfg.ages:
-        ak = age_key(age)
-        full_d = [log.d_total for log in run_logs["full"] if log.age == float(age)]
-        full_cat = [float(log.cats.mean()) for log in run_logs["full"]
-                    if log.age == float(age) and log.cats is not None]
-        for variant in ABLATIONS:
-            if variant == "full":
-                continue
-            at_age = [log for log in run_logs[variant] if log.age == float(age)]
-            d = [log.d_total for log in at_age]
-            if len(full_d) >= 2 and len(d) >= 2:
-                welch[f"d_total:full_vs_{variant}@age{ak}"] = _welch_dict(full_d, d)
-            cat = [float(log.cats.mean()) for log in at_age if log.cats is not None]
-            if len(full_cat) >= 2 and len(cat) == len(d) and len(cat) >= 2:
-                welch[f"cat:full_vs_{variant}@age{ak}"] = _welch_dict(full_cat, cat)
+    reports = {v: compute_metrics([log for log in logs if log.variant == v])
+               for v in ABLATIONS}
+    welch = compare_arms(logs)
     aggregate = {
         "variants": {v: asdict(reports[v]) for v in ABLATIONS},
         "welch": welch,
@@ -427,7 +379,7 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     write_csv(
         out / "curves" / f"ablation_{cfg.scenario}.csv",
         ["variant", "age", "seed", *columns],
-        [[log.variant, log.age, log.seed, *(_summary(log).get(c, "") for c in columns)]
+        [[log.variant, log.age, log.seed, *(summary(log).get(c, "") for c in columns)]
          for log in logs],
     )
     return reports

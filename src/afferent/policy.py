@@ -55,8 +55,9 @@ class RewardParams:
     lambda_mem: float = 25.0
 
     def __post_init__(self):
-        if self.lambda_cat < 0 or self.lambda_d < 0 or self.lambda_mem < 0:
-            raise ValidationError("penalty weights must be nonnegative")
+        for name in ("lambda_cat", "lambda_d", "lambda_mem"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
 
 
 @dataclass

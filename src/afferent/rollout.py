@@ -16,6 +16,7 @@ import numpy as np
 from . import env as twin
 from .afferents import AfferentArray, compute_cat
 from .memory import MemoryStore, Window, maybe_capture
+from .metrics import RunLog
 from .nets import Adam
 from .policy import (
     PolicyParams,
@@ -41,7 +42,6 @@ from .util import percentile_95, rng_for
 
 __all__ = [
     "AgentSetup",
-    "EpisodeStats",
     "Runner",
     "TrainResult",
     "rl_train",
@@ -76,15 +76,6 @@ class AgentSetup:
 # column.  "recalls" is the memory's recalled damage y_hat (0 without a query).
 _COLUMNS = ("obs", "z", "logp", "rewards", "dones", "cats", "delta_ds",
             "actions", "tasks", "damage", "recalls")
-
-
-@dataclass
-class EpisodeStats:
-    task_mean: float
-    d_total: float
-    actions: np.ndarray
-    cats: np.ndarray | None
-    recalls: np.ndarray | None
 
 
 class Runner:
@@ -209,22 +200,22 @@ def rl_train(setup: AgentSetup, cfg: PPOConfig, seed: int) -> TrainResult:
 
 def evaluate_policy(setup: AgentSetup, policy: PolicyParams, eval_seeds,
                     eval_episodes: int) -> list:
-    """Run eval_episodes per seed with memory captures frozen."""
+    """Run eval_episodes per seed with memory captures frozen; one RunLog per episode."""
     with_cat = setup.mode != "plain"
     with_recall = setup.mode == "epi" and setup.memory is not None
-    stats = []
+    episodes = []
     for s in eval_seeds:
         runner = Runner(setup, policy, seed=int(s), capture=False)
         for _ in range(eval_episodes):
             ep = runner.collect(setup.episode_len)
-            stats.append(EpisodeStats(
+            episodes.append(RunLog(
                 task_mean=float(ep["tasks"].mean()),
                 d_total=float(ep["damage"][-1]),
                 actions=ep["actions"],
                 cats=ep["cats"] if with_cat else None,
                 recalls=ep["recalls"] if with_recall else None,
             ))
-    return stats
+    return episodes
 
 
 def calibrate_predictive(seed: int, n_samples: int = 2000,

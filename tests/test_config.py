@@ -78,6 +78,10 @@ def test_semantic_validation():
         parse_config("ppo.clip = 0\n")  # nested validation surfaces as ConfigError
     with pytest.raises(ConfigError):
         parse_config("reward.lambda_cat = -1\n")
+    for key in ("memory.eps_d", "memory.kappa_cat", "reward.lambda_cat",
+                "reward.lambda_d", "reward.lambda_mem"):
+        with pytest.raises(ConfigError, match=key.removeprefix("reward.")):
+            parse_config(f"{key} = nan\n")
 
 
 def test_default_document_round_trips():

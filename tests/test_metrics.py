@@ -1,12 +1,17 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from afferent.config import ABLATIONS
 from afferent.errors import ValidationError
 from afferent.metrics import (
     SAFE_ACTION_THRESHOLD,
     RunLog,
     age_key,
+    compare_arms,
     compute_metrics,
+    pool,
 )
 from afferent.stats import welch_test
 
@@ -94,3 +99,78 @@ def test_welch_needs_two_runs_per_side():
 def test_recall_mean_reported_when_present():
     rep = compute_metrics([run(recalls=[0.001, 0.003]), run(seed=1, recalls=[0.005, 0.007])])
     assert rep.recall_mean == {"60": pytest.approx(0.004)}
+
+
+def _episode(rng, n, cats=True, recalls=False):
+    return RunLog(d_total=float(rng.uniform()), task_mean=float(rng.uniform()),
+                  actions=rng.uniform(size=n), cats=rng.uniform(size=n) if cats else None,
+                  recalls=rng.uniform(size=n) if recalls else None)
+
+
+@pytest.mark.parametrize("case", ["one", "several", "mixed_cats"])
+def test_pool_matches_numpy_bit_for_bit(case):
+    rng = np.random.default_rng(5)
+    if case == "one":
+        records = [_episode(rng, 7, recalls=True)]
+    elif case == "several":
+        records = [_episode(rng, n, recalls=True) for n in (5, 9, 3, 6)]
+    else:  # an age group of CAT (epi) and no-CAT (plain) runs
+        records = [_episode(rng, 4), _episode(rng, 6, cats=False), _episode(rng, 5)]
+    got = pool(records, variant="full", age=20.0, seed=3)
+    assert (got.variant, got.age, got.seed) == ("full", 20.0, 3)
+    assert got.d_total == float(np.mean([r.d_total for r in records]))
+    assert got.task_mean == float(np.mean([r.task_mean for r in records]))
+    assert got.actions.tobytes() == np.concatenate([r.actions for r in records]).tobytes()
+    with_cats = [r.cats for r in records if r.cats is not None]
+    assert got.cats.tobytes() == np.concatenate(with_cats).tobytes()
+    if case == "mixed_cats":
+        assert got.recalls is None
+        assert len(with_cats) == 2
+    else:
+        assert got.recalls.tobytes() == np.concatenate([r.recalls for r in records]).tobytes()
+    assert pool(records).variant is None
+
+
+def _arm_logs(ages=(20.0, 80.0), seeds=(0, 1)):
+    rng = np.random.default_rng(9)
+    return [RunLog(d_total=float(rng.uniform()), task_mean=0.5, actions=rng.uniform(size=6),
+                   cats=None if v == "no_cat" else rng.uniform(size=6),
+                   variant=v, age=a, seed=s)
+            for v in ABLATIONS for a in ages for s in seeds]
+
+
+def test_compare_arms_keys_and_values():
+    logs = _arm_logs()
+    welch = compare_arms(logs)
+    others = [v for v in ABLATIONS if v != "full"]
+    want = [f"{field}:full_vs_{v}@age{a}" for a in ("20", "80") for v in others
+            for field in ("d_total", "cat") if field == "d_total" or v != "no_cat"]
+    assert list(welch) == want
+
+    def runs(v, a):
+        return [log for log in logs if log.variant == v and log.age == a]
+
+    for a in (20.0, 80.0):
+        for v in others:
+            full, arm = runs("full", a), runs(v, a)
+            got = welch[f"d_total:full_vs_{v}@age{age_key(a)}"]
+            assert got == asdict(welch_test([r.d_total for r in full],
+                                            [r.d_total for r in arm]))
+            if v != "no_cat":
+                got = welch[f"cat:full_vs_{v}@age{age_key(a)}"]
+                assert got == asdict(welch_test([r.cats.mean() for r in full],
+                                                [r.cats.mean() for r in arm]))
+
+
+def test_compare_arms_skips_an_age_with_one_run_a_side():
+    def drop(logs, variant, age):
+        return [log for log in logs
+                if not (log.variant == variant and log.age == age and log.seed == 0)]
+
+    logs = drop(_arm_logs(), "no_predictive", 80.0)  # one run on the arm's side
+    assert not any("no_predictive@age80" in key for key in compare_arms(logs))
+    assert "d_total:full_vs_no_cat@age80" in compare_arms(logs)
+    logs = drop(logs, "full", 20.0)  # one run on the full side
+    welch = compare_arms(logs)
+    assert not any(key.endswith("@age20") for key in welch)
+    assert "d_total:full_vs_no_cat@age80" in welch
