@@ -13,6 +13,7 @@ from . import harness
 from .config import (
     ABLATIONS,
     DEFAULTS,
+    _FLAGS,
     ExperimentConfig,
     _parse_scalar,
     apply_cli_overrides,
@@ -39,36 +40,28 @@ def build_parser() -> argparse.ArgumentParser:
         "ablate": "train and compare every ablation arm",
         "probe-lipschitz": "estimate local fitness smoothness at a genome",
     }
+    choices = {"ablation": ABLATIONS, "scenario": sorted(SCENARIOS)}
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key=value config document")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--ablation", choices=ABLATIONS,
-                       help="variant wiring for train/evaluate")
-        p.add_argument("--ages", help="comma-separated ages, e.g. 20,60,80")
-        p.add_argument("--scenario", choices=sorted(SCENARIOS),
-                       help="override the scenario")
-        p.add_argument("--steps", type=int,
-                       help="override ppo.total_steps")
-        p.add_argument("--jobs", type=int,
-                       help="override the process count, the calling "
-                            "process included")
+        for flag, key in _FLAGS.items():
+            p.add_argument(f"--{flag}", choices=choices.get(flag),
+                           help=f"override config key {key}")
     return parser
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """The --config document with each given flag parsed as its key's value."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    ages = None
-    if args.ages is not None:
-        try:
-            ages = _parse_scalar(args.ages, DEFAULTS["ages"])
-        except ConfigError as exc:
-            raise ConfigError(f"--ages: {exc}") from None
-    return apply_cli_overrides(
-        cfg, seed=args.seed, out=args.out, ablation=args.ablation,
-        ages=ages, scenario=args.scenario, steps=args.steps, jobs=args.jobs,
-    )
+    flags = {}
+    for flag, key in _FLAGS.items():
+        text = getattr(args, flag)
+        if text is not None:
+            try:
+                flags[flag] = _parse_scalar(text, DEFAULTS[key])
+            except ConfigError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from None
+    return apply_cli_overrides(cfg, **flags)
 
 
 def _dispatch(command: str, cfg: ExperimentConfig) -> str:
@@ -103,7 +96,6 @@ def _dispatch(command: str, cfg: ExperimentConfig) -> str:
     if command == "probe-lipschitz":
         report = harness.probe_lipschitz(cfg)
         return f"l_hat={report['l_hat']:.6f} over {report['n_pairs']} pairs"
-    raise ConfigError(f"unknown command {command!r}")
 
 
 def main(argv=None) -> int:

@@ -13,11 +13,12 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .env import SCENARIOS
+from .env import AGE_MAX, AGE_MIN, EPISODE_LEN, SCENARIOS
 from .errors import ConfigError, ValidationError
 from .evolution import FitnessSpec
 from .memory import CAPACITY, EPS_D, K_RET, KAPPA_CAT
 from .policy import PPOConfig, RewardParams
+from .predictive import DiscrepancyParams
 
 __all__ = [
     "ABLATIONS",
@@ -73,7 +74,7 @@ class ExperimentConfig:
     m: int = 64
     k: int = 3
     dt: float = 1.0
-    episode_len: int = 200
+    episode_len: int = EPISODE_LEN
     genome: str = ""
     policy: str = ""
     memory_capacity: int = _key("memory.capacity", CAPACITY)
@@ -89,9 +90,9 @@ class ExperimentConfig:
     evo_sigma0: float = _key("evolution.sigma0", 0.5)
     pred_seed: int = _key("predictive.seed", 42)
     pred_samples: int = _key("predictive.samples", 2000)
-    pred_kappa: float = _key("predictive.kappa", 10.0)
-    pred_lambda_env: float = _key("predictive.lambda_env", 0.7)
-    pred_lambda_pred: float = _key("predictive.lambda_pred", 0.3)
+    pred_kappa: float = _key("predictive.kappa", DiscrepancyParams.kappa)
+    pred_lambda_env: float = _key("predictive.lambda_env", DiscrepancyParams.lambda_env)
+    pred_lambda_pred: float = _key("predictive.lambda_pred", DiscrepancyParams.lambda_pred)
     sim_repeats: int = _key("sim.repeats", 5)
     sim_steps: int = _key("sim.steps", 80)
     sim_action: float = _key("sim.action", 0.7)
@@ -163,11 +164,11 @@ class ExperimentConfig:
                               "handcrafted genome's tau is 5")
         if not 0.0 <= self.sim_action <= 1.0:
             raise ConfigError("sim.action must be in [0, 1]")
-        if not 20.0 <= self.sim_age <= 90.0:
-            raise ConfigError("sim.age must be in [20, 90]")
+        if not AGE_MIN <= self.sim_age <= AGE_MAX:
+            raise ConfigError(f"sim.age must be in [{AGE_MIN:g}, {AGE_MAX:g}]")
         for a in self.ages:
-            if not 20.0 <= float(a) <= 90.0:
-                raise ConfigError(f"age {a} outside [20, 90]")
+            if not AGE_MIN <= float(a) <= AGE_MAX:
+                raise ConfigError(f"age {a} outside [{AGE_MIN:g}, {AGE_MAX:g}]")
 
 
 def _keys():
@@ -237,14 +238,14 @@ def _build(values: dict, base: ExperimentConfig | None = None) -> ExperimentConf
         if sub is None:
             top[name] = value
         else:
-            groups.setdefault(name, {})[sub] = value
-    try:
-        for name, sub_values in groups.items():
+            groups.setdefault((name, key.rpartition(".")[0]), {})[sub] = value
+    for (name, group), sub_values in groups.items():
+        try:
             top[name] = replace(getattr(base, name), **sub_values)
-        return replace(base, **top)
-    except ValidationError as exc:
-        # Bad values supplied through config are configuration errors.
-        raise ConfigError(str(exc)) from exc
+        except ValidationError as exc:
+            # A group's checks name the field; the config key adds the group.
+            raise ConfigError(f"{group}.{exc}") from exc
+    return replace(base, **top)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -139,8 +139,8 @@ class PolicyParams:
         self.critic = MLP(sizes, theta[n + 1:])
 
     def __reduce__(self):
-        # Pool workers return policies by pickle; rebuild the nets as views of
-        # theta there, since pickling them would copy every layer apart from it.
+        # No run pickles a policy (pool cells ship none back); a pickle must still
+        # rebuild the nets as views of theta, as pickling them would copy each layer.
         return PolicyParams, (self.theta, self.actor.sizes, self.mode)
 
     @property

@@ -54,7 +54,8 @@ __all__ = [
 def gait_context(t: int, age: float) -> np.ndarray:
     """Context vector s_t = [sin phase, cos phase, age_norm] for the safe model."""
     phase = t % twin.GAIT_PERIOD
-    return np.array([twin.SIN_PHASE[phase], twin.COS_PHASE[phase], (age - 20.0) / 70.0])
+    age_norm = (age - twin.AGE_MIN) / (twin.AGE_MAX - twin.AGE_MIN)
+    return np.array([twin.SIN_PHASE[phase], twin.COS_PHASE[phase], age_norm])
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,5 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
         discrepancy(x_next, model.predict(x, a, c), probe)
         for x, a, c, x_next in samples
     ]
-    disc = DiscrepancyParams(w_delta=np.ones(3), kappa=10.0,
-                             delta0=percentile_95(deltas))
+    disc = DiscrepancyParams(w_delta=np.ones(3), delta0=percentile_95(deltas))
     return model, disc

@@ -10,7 +10,7 @@ import pytest
 from afferent.afferents import handcrafted_genome
 from afferent import harness
 from afferent.cli import _resolve_config, build_parser, main
-from afferent.config import parse_config
+from afferent.config import _FLAGS, load_config, parse_config
 from afferent.errors import TrainingError
 from afferent.policy import init_policy
 from afferent.storage import save_genome, save_policy
@@ -188,6 +188,32 @@ def test_jobs_flag_reaches_config(micro_config):
     assert _resolve_config(args).jobs == 1
 
 
+# Per flag: a valid text, given with the surrounding whitespace a config line may
+# carry unless argparse checks it against choices, and a text that does not parse.
+FLAG_TEXTS = {"seed": (" 7 ", "x"), "out": (" elsewhere ", None),
+              "ablation": ("no_cat", None), "ages": (" 20, 80 ", "sixty"),
+              "scenario": ("meniscus_overload", None), "steps": ("512", "1.5"),
+              "jobs": ("2", "two")}
+
+
+@pytest.mark.parametrize("flag", _FLAGS)
+def test_each_flag_parses_as_its_key(flag, micro_config, tmp_path, capsys):
+    good, bad = FLAG_TEXTS[flag]
+    key = _FLAGS[flag]
+    args = build_parser().parse_args(["train", "--config", micro_config, f"--{flag}", good])
+    path = tmp_path / "flag.cfg"
+    path.write_text("".join(ln + "\n" for ln in MICRO.splitlines()
+                            if ln.partition("=")[0].strip() != key) + f"{key} = {good}\n")
+    assert _resolve_config(args) == load_config(path)
+    if bad is not None:
+        out = tmp_path / "o"
+        rc = main(["train", "--config", micro_config, "--out", str(out), f"--{flag}", bad])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --{flag}: expected ") and repr(bad) in err
+        assert not out.exists()
+
+
 def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     rc = main(["simulate", "--config", micro_config,
                "--out", str(tmp_path / "o"), "--jobs", "0"])
@@ -213,7 +239,8 @@ def test_jobs_zero_exits_2(micro_config, tmp_path, capsys):
     ("sim.repeats", 0), ("evolution.popsize", 1), ("evolution.sigma0", 0),
     ("seeds", "1,1"), ("ages", "60,60.0"), ("eval.seeds", "701,702,701"),
     ("evolution.eval_seeds", "901,901"), ("predictive.samples", 0),
-    ("predictive.samples", 7),
+    ("predictive.samples", 7), ("ppo.clip", 0), ("reward.lambda_d", -1),
+    ("evolution.gamma_d", 0),
 ])
 def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     """A config key, or a command-line flag when it starts with --."""
@@ -226,7 +253,8 @@ def test_bad_value_exits_2_naming_key(key, value, tmp_path, capsys):
     rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o"), *flag])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{key.lstrip('-').split('.')[-1]} must be" in err
+    named = key.lstrip("-") if flag else key  # a config key is named in full
+    assert "config error" in err and f"{named} must be" in err
     assert not (tmp_path / "o").exists()
 
 

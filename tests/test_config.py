@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -80,8 +81,19 @@ def test_semantic_validation():
         parse_config("reward.lambda_cat = -1\n")
     for key in ("memory.eps_d", "memory.kappa_cat", "reward.lambda_cat",
                 "reward.lambda_d", "reward.lambda_mem"):
-        with pytest.raises(ConfigError, match=key.removeprefix("reward.")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be >= 0$"):
             parse_config(f"{key} = nan\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ppo.clip = 0", "ppo.clip must be positive"),
+    ("reward.lambda_d = -1", "reward.lambda_d must be >= 0"),
+    ("evolution.top_fraction = 0", "evolution.top_fraction must lie in (0, 1]"),
+])
+def test_group_errors_name_the_full_key(line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(line)
+    assert str(exc.value) == message
 
 
 def test_default_document_round_trips():
