@@ -4,8 +4,8 @@ Each operation reads an ExperimentConfig, runs the relevant pipeline, and
 writes into a fixed output tree: out/{runs/*.jsonl, reports/*.json,
 curves/*.csv, genomes/*.bin}.  Independent (variant, age, seed) cells are
 dealt round-robin over cfg.jobs processes in total: the calling process plus
-cfg.jobs - 1 forked workers.  Every cell derives its randomness from its own
-seeds, so neither the process count nor a cell's placement changes results.
+cfg.jobs - 1 workers, one forked per slice.  Each cell derives its randomness
+from its own seeds, so neither the process count nor its placement changes results.
 Evaluations are pooled, summarized and compared in metrics.py; this module
 runs the cells and writes the results.
 """
@@ -170,31 +170,44 @@ def _fail(out: Path, failures: list, logs=()):
     raise TrainingError(f"{len(failures)} cell(s) failed; first: {failures[0]['error']}")
 
 
-def _map_slice(fn, items) -> list:
-    return [fn(it) for it in items]
-
-
 def _parallel_map(fn, items, jobs: int) -> list:
     """[fn(it) for it in items] on P = min(jobs, len(items)) processes in total.
 
-    Items are dealt round-robin: slice p is items[p::P].  The caller runs
-    slice 0; slices 1..P-1 go as one task each to a pool of P - 1 forked
-    workers, which send each slice's results back at once.  If fn raises,
-    the other slices still finish before the exception propagates.
+    Item i runs in process i mod P: the caller runs items[0::P], and each other
+    slice runs in one worker, forked with its own pipe before any work or thread.
+    Every worker is joined, so if fn raises, the other slices finish first.
     """
     procs = min(jobs, len(items))
     if procs < 2:
-        return _map_slice(fn, items)
+        return [fn(it) for it in items]
     # Imported here so that a process that never pools never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    out = [None] * len(items)
-    with ProcessPoolExecutor(procs - 1) as executor:
-        slices = [executor.submit(_map_slice, fn, items[p::procs]) for p in range(1, procs)]
-        out[0::procs] = _map_slice(fn, items[0::procs])
-        for p, sl in enumerate(slices, start=1):
-            out[p::procs] = sl.result()
-    return out
+    def run_slice(p):
+        try:
+            return True, [fn(it) for it in items[p::procs]]
+        except Exception as exc:
+            return False, exc
+
+    ctx = multiprocessing.get_context("fork")  # Python 3.14 defaults to forkserver on Linux
+    workers = []
+    for p in range(1, procs):
+        recv, send = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=lambda p, send: send.send(run_slice(p)), args=(p, send))
+        worker.start()
+        send.close()  # the worker holds the only send end, so its death is an EOFError below
+        workers.append((worker, recv))
+    replies = [run_slice(0)]
+    for worker, recv in workers:
+        try:
+            replies.append(recv.recv())
+        except Exception as exc:  # the worker died before replying, or its reply does not unpickle
+            replies.append((False, exc))
+        worker.join()
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [replies[i % procs][1][i // procs] for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------

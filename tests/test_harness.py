@@ -257,13 +257,68 @@ def test_parallel_map_deals_items_round_robin_starting_in_the_caller(n, jobs):
     assert all(pids[i] == pids[i % jobs] for i in range(n))
 
 
-def test_cli_and_harness_import_without_the_process_pool():
+def test_parallel_map_runs_each_slice_in_its_own_process():
+    for _ in range(20):
+        pids = [pid for _, pid in _parallel_map(_with_pid, range(20), 3)]
+        assert len(set(pids[:3])) == 3
+        assert all(pids[i] == pids[i % 3] for i in range(20))
+
+
+def _run_python(code, timeout):
+    """stdout of a fresh interpreter running code with this package importable."""
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, afferent.cli, afferent.harness; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=timeout).stdout
+
+
+def test_cli_and_harness_import_without_the_process_pool():
+    code = ("import sys, afferent.cli, afferent.harness\n"
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+    assert _run_python(code, timeout=60).split() == ["False", "False"]
+
+
+def test_parallel_map_forks_whatever_the_default_start_method():
+    code = """
+import multiprocessing, os
+from afferent.harness import _parallel_map
+
+def f(i):
+    return i * i, os.getpid()
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    got = _parallel_map(f, list(range(7)), 3)
+    print([v for v, _ in got] == [i * i for i in range(7)], len({pid for _, pid in got}))
+"""
+    assert _run_python(code, timeout=60).split() == ["True", "3"]
+
+
+def test_parallel_map_raises_when_a_worker_dies_and_leaves_no_child():
+    # Workers 1 and 3 die; worker 2's replies outgrow a pipe's buffer, so it
+    # must be drained before it can be joined.
+    code = """
+import os
+from afferent.harness import _parallel_map
+
+def f(i):
+    if i % 4 in (1, 3):
+        os._exit(1)
+    return bytes(100_000)
+
+try:
+    _parallel_map(f, range(16), 4)
+    print("returned")
+except Exception as exc:
+    print("raised", type(exc).__name__)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("child left")
+except ChildProcessError:
+    print("no child")
+"""
+    out = _run_python(code, timeout=60).splitlines()
+    assert out[0].startswith("raised") and out[1] == "no child"
 
 
 def _fail_on_one_side(item):
