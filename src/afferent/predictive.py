@@ -79,20 +79,21 @@ class DiscrepancyParams:
 def fit_safe_model(rollouts) -> SafeStateModel:
     """Least-squares fit of the safe-state model from healthy transitions.
 
-    rollouts is a sequence of (x_t, a_t, s_t, x_next) tuples.  A rank-deficient
-    design triggers a ridge solve with penalty 1e-6, flagged on the result.
+    rollouts is a sequence of (x_t, a_t, s_t, x_next) tuples, written row by
+    row into one design matrix [x_t, a_t, s_t, 1] and one target matrix.  A
+    rank-deficient design triggers a ridge solve with penalty 1e-6, flagged
+    on the result.
     """
-    rows = []
-    targets = []
-    for x, a, s, x_next in rollouts:
-        rows.append(np.concatenate([np.asarray(x, float), [float(a)], np.asarray(s, float)]))
-        targets.append(np.asarray(x_next, float))
-    Z = np.asarray(rows)
-    Y = np.asarray(targets)
-    if Z.ndim != 2 or Y.ndim != 2:
+    n = len(rollouts)
+    if n == 0:
         raise ConfigError("safe-model fit needs nonempty rollout tuples")
-    n = Z.shape[0]
-    design = np.hstack([Z, np.ones((n, 1))])
+    x, _, s, _ = rollouts[0]
+    k, w = len(x), len(x) + 1 + len(s)
+    design, Y = np.empty((n, w + 1)), np.empty((n, k))
+    for row, y, (x, a, s, x_next) in zip(design, Y, rollouts):
+        row[:k], row[k], row[k + 1:w] = x, a, s
+        y[:] = x_next
+    design[:, w] = 1.0
     if n < design.shape[1]:
         raise ConfigError("too few samples to fit the safe-state model")
     coef, _, rank, _ = np.linalg.lstsq(design, Y, rcond=None)

@@ -5,6 +5,8 @@ the optional episodic store and the optional predictive model.  A Runner is
 one stream that owns all it changes (twin state, activations, memory window,
 previous step).  rl_train collects PPO rollouts from a Runner; evaluation
 collects one episode at a time from Runners with memory captures frozen.
+A rollout is written into columns allocated once per collect, so no per-step
+record outlives its step.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ class AgentSetup:
     episode_len: int = twin.EPISODE_LEN
 
 
-# One row per step, in this order; collect turns the rows into one array per
-# column.  "recalls" is the memory's recalled damage y_hat (0 without a query).
+# One row per step, in this order; collect writes each step's row in place
+# into one float64 array per column, "obs" (n, obs_dim) and the others (n,).
+# "recalls" is the memory's recalled damage y_hat (0 without a query).
 _COLUMNS = ("obs", "z", "logp", "rewards", "dones", "cats", "delta_ds",
             "actions", "tasks", "damage", "recalls")
 
@@ -156,9 +159,15 @@ class Runner:
         return row
 
     def collect(self, n: int) -> dict:
-        """Step n times; one array per _COLUMNS key, a row per step."""
-        rows = [self._step() for _ in range(n)]
-        return {key: np.array(col) for key, col in zip(_COLUMNS, zip(*rows))}
+        """Step n times into preallocated columns; one array per _COLUMNS key."""
+        cols = {key: np.empty((n, *self.obs.shape) if key == "obs" else n)
+                for key in _COLUMNS}
+        obs, z, logp, rewards, dones, cats, delta_ds, actions, tasks, damage, recalls = (
+            cols.values())
+        for i in range(n):
+            (obs[i], z[i], logp[i], rewards[i], dones[i], cats[i], delta_ds[i], actions[i],
+             tasks[i], damage[i], recalls[i]) = self._step()
+        return cols
 
 
 @dataclass
@@ -231,18 +240,19 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
     cfg = twin.SCENARIOS["normal"]
     age = 20.0
     rng = rng_for(seed, 7)
-    samples = []
-    ep = 0
-    while len(samples) < n_samples:
+    # one record per transition, written in place: (x_t, action, context, x_next)
+    samples = np.empty(n_samples, dtype=[("x", float, 3), ("a", float),
+                                         ("s", float, 3), ("x_next", float, 3)])
+    i = ep = 0
+    while i < n_samples:
         state = twin.reset(cfg, age, int(rng_for(seed, 8, ep).integers(0, 2**62)))
-        for _ in range(episode_len):
-            if len(samples) >= n_samples:
-                break
+        for _ in range(min(episode_len, n_samples - i)):
             action = float(rng.uniform(0.0, 1.0))
             ctx = gait_context(state.t, age)
             x_t = state.x
             state, res = twin.step(state, action, cfg, episode_len)
-            samples.append((x_t, action, ctx, res.x_next))
+            samples[i] = x_t, action, ctx, res.x_next
+            i += 1
         ep += 1
     model = fit_safe_model(samples)
     probe = DiscrepancyParams(w_delta=np.ones(3))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -265,11 +266,51 @@ def test_parallel_map_runs_each_slice_in_its_own_process():
 
 
 def _run_python(code, timeout):
-    """stdout of a fresh interpreter running code with this package importable."""
+    """stdout of a fresh interpreter running code with this package importable.
+
+    The interpreter leads a session of its own, so on a timeout the whole
+    process group, forked children too, is killed before TimeoutExpired
+    propagates.
+    """
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=timeout).stdout
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    return out
+
+
+def test_run_python_kills_forked_children_on_timeout(tmp_path):
+    pgid_file = tmp_path / "pgid"
+    code = f"""
+import os, time
+if os.fork() == 0:
+    time.sleep(60)
+    os._exit(0)
+with open({str(pgid_file)!r}, "w") as f:
+    f.write(str(os.getpgid(0)))
+time.sleep(60)
+"""
+    with pytest.raises(subprocess.TimeoutExpired):
+        _run_python(code, timeout=1)
+    pgid = int(pgid_file.read_text())
+    # the killed child is reparented and stays a zombie until it is reaped
+    deadline = time.monotonic() + 20
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
 
 
 def test_cli_and_harness_import_without_the_process_pool():

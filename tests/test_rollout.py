@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from afferent import env
 from afferent import memory as memory_mod
 from afferent import rollout
 from afferent.afferents import decode_genome, handcrafted_genome
 from afferent.env import SCENARIOS
-from afferent.memory import MemoryStore
-from afferent.policy import PPOConfig, init_policy, obs_dim
+from afferent.memory import MemoryStore, maybe_capture
+from afferent.policy import PPOConfig, init_policy, obs_dim, sample_action_z, shaped_reward
 from afferent.rollout import (
     AgentSetup,
     Runner,
@@ -48,6 +50,72 @@ def test_collect_shapes_and_episode_boundaries():
     assert list(np.nonzero(batch["dones"])[0]) == [4, 9]
     assert np.all((batch["actions"] > 0) & (batch["actions"] < 1))
     assert np.all((batch["cats"] >= 0) & (batch["cats"] <= 1))
+
+
+def _reference_collect(runner, n):
+    """collect as a per-step row loop: a row tuple per step, np.array per column."""
+    s, rows = runner.setup, []
+    for _ in range(n):
+        cat, y_hat = runner.cur
+        x, t_act = runner.state.x, runner.state.t
+        action, logp, z = sample_action_z(runner.policy, runner.obs, runner.action_rng)
+        runner.state, res = env.step(runner.state, action, s.scenario, s.episode_len)
+        reward = shaped_reward(res.task_reward, cat, res.delta_d, y_hat, s.reward)
+        if runner.capture and s.memory is not None:
+            maybe_capture(s.memory, runner.window, cat, res.delta_d)
+            if res.done:
+                s.memory.end_episode(runner.window)
+        runner.prev = (x, action, t_act)
+        rows.append((runner.obs, z, logp, reward, float(res.done), cat, res.delta_d,
+                     action, res.task_reward, runner.state.damage, y_hat))
+        if res.done:
+            runner.episode_idx += 1
+            runner._begin_episode()
+        else:
+            runner._compute_current()
+    return {key: np.array(col) for key, col in zip(rollout._COLUMNS, zip(*rows))}
+
+
+@pytest.mark.parametrize("mode", ["plain", "base", "epi"])
+def test_collect_columns_equal_the_row_loop_bits(mode):
+    # epi runs with memory captures and the predictive layer, over episode ends
+    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    policy = make_policy(mode=mode)
+    got, want = [], []
+    for out, collect in ((got, Runner.collect), (want, _reference_collect)):
+        setup = make_setup(mode=mode, episode_len=20)
+        if mode == "epi":
+            setup = replace(setup, memory=MemoryStore(eps_d=0.0), safe_model=model, disc=disc)
+        runner = Runner(setup, policy, seed=5)
+        out.extend(collect(runner, n) for n in (47, 1, 30))
+    for g, w in zip(got, want, strict=True):
+        assert list(g) == list(rollout._COLUMNS) == list(w)
+        for key in g:
+            assert g[key].dtype == w[key].dtype == np.float64
+            assert g[key].shape == w[key].shape
+            assert g[key].tobytes() == w[key].tobytes(), key
+    assert np.any(got[0]["recalls"] != 0.0) == (mode == "epi")
+
+
+@pytest.mark.parametrize("mode", ["base", "epi"])
+def test_collect_holds_little_beyond_its_columns(mode):
+    # a 1024-step rollout at the default array size; epi with a store and the
+    # predictive layer.  The first collect fills the store's buffers.
+    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    array = decode_genome(handcrafted_genome(64, 3), dt=1.0)
+    setup = AgentSetup(scenario=SCENARIOS["normal"], age=60.0, array=array, mode=mode)
+    if mode == "epi":
+        setup = replace(setup, memory=MemoryStore(), safe_model=model, disc=disc)
+    policy = init_policy(obs_dim(mode, 3, 64), rng_for(0, 0), mode, hidden=(64, 64))
+    runner = Runner(setup, policy, seed=1)
+    runner.collect(1024)
+    tracemalloc.start()
+    try:
+        cols = runner.collect(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sum(col.nbytes for col in cols.values())
 
 
 def test_runner_is_deterministic():
@@ -236,6 +304,20 @@ def test_calibrate_predictive_frozen_seed():
     assert model.A.shape == (3, 7)
     assert disc.kappa == 10.0
     assert np.array_equal(disc.w_delta, np.ones(3))
+
+
+def test_calibrate_predictive_holds_its_samples_in_place(monkeypatch):
+    # 2000 float64 transition records, one design and one target matrix, and
+    # lstsq's copies of both: about 0.5 MB.  A Python object per sample or
+    # one array per design row takes twice that.
+    monkeypatch.setattr(env, "_rows", {})  # a cold noise table, whatever ran before
+    tracemalloc.start()
+    try:
+        calibrate_predictive(42, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * 1024
 
 
 def test_predictive_blend_changes_cat():
