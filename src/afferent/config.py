@@ -9,6 +9,7 @@ dumped default document reproduces stock behavior.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -197,9 +198,12 @@ def _parse_scalar(text: str, template):
             raise ConfigError(f"expected integer, got {text!r}") from exc
     if isinstance(template, float):
         try:
-            return float(text)
+            value = float(text)
         except ValueError as exc:
             raise ConfigError(f"expected number, got {text!r}") from exc
+        if math.isinf(value):  # NaN goes on to the semantic checks, which name it
+            raise ConfigError(f"expected finite number, got {text!r}")
+        return value
     if isinstance(template, tuple):
         if not text:
             raise ConfigError("expected comma-separated list, got empty value")
@@ -256,7 +260,12 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def default_config_text() -> str:

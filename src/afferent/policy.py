@@ -151,10 +151,6 @@ class PolicyParams:
     def log_std(self, value: float) -> None:
         self.theta[self.actor.n_params] = value
 
-    def mean(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = self.actor.forward(obs)
-        return out[:, 0]
-
     def value(self, obs: np.ndarray) -> np.ndarray:
         out, _ = self.critic.forward(obs)
         return out[:, 0]

@@ -76,35 +76,25 @@ class DiscrepancyParams:
             raise ValidationError("lambda_env + lambda_pred must be positive")
 
 
-def fit_safe_model(rollouts) -> SafeStateModel:
+def fit_safe_model(design: np.ndarray, targets: np.ndarray) -> SafeStateModel:
     """Least-squares fit of the safe-state model from healthy transitions.
 
-    rollouts is a sequence of (x_t, a_t, s_t, x_next) tuples, written row by
-    row into one design matrix [x_t, a_t, s_t, 1] and one target matrix.  A
+    Row i of the n x (K + 1 + S + 1) design matrix is [x_t, a_t, s_t, 1] and
+    row i of the n x K target matrix is x_next, for transition i.  A
     rank-deficient design triggers a ridge solve with penalty 1e-6, flagged
     on the result.
     """
-    n = len(rollouts)
-    if n == 0:
-        raise ConfigError("safe-model fit needs nonempty rollout tuples")
-    x, _, s, _ = rollouts[0]
-    k, w = len(x), len(x) + 1 + len(s)
-    design, Y = np.empty((n, w + 1)), np.empty((n, k))
-    for row, y, (x, a, s, x_next) in zip(design, Y, rollouts):
-        row[:k], row[k], row[k + 1:w] = x, a, s
-        y[:] = x_next
-    design[:, w] = 1.0
-    if n < design.shape[1]:
+    if len(design) < design.shape[1]:
         raise ConfigError("too few samples to fit the safe-state model")
-    coef, _, rank, _ = np.linalg.lstsq(design, Y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     ridge = False
     if rank < design.shape[1]:
         ridge = True
         gram = design.T @ design + 1e-6 * np.eye(design.shape[1])
-        coef = np.linalg.solve(gram, design.T @ Y)
+        coef = np.linalg.solve(gram, design.T @ targets)
     A = coef[:-1, :].T
     b = coef[-1, :]
-    resid = design @ coef - Y
+    resid = design @ coef - targets
     rms = float(np.sqrt(np.mean(resid**2)))
     return SafeStateModel(A=A, b=b, residual_rms=rms, ridge=ridge)
 

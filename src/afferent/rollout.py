@@ -233,32 +233,32 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
     """Fit the safe-state model and calibrate delta0 on healthy rollouts.
 
     Healthy regime: normal scenario at age 20 under uniform random actions.
-    delta0 is the 95th percentile of the fit's own discrepancies, so the
-    predictive signal crosses 0.5 only for residuals unusual even under
-    healthy dynamics.
+    Each transition is written once: row i of the design matrix holds
+    [x_t, a_t, s_t, 1] and row i of the target matrix holds x_next.  delta0
+    is the 95th percentile of the fit's own discrepancies over those rows,
+    so the predictive signal crosses 0.5 only for residuals unusual even
+    under healthy dynamics.
     """
     cfg = twin.SCENARIOS["normal"]
     age = 20.0
     rng = rng_for(seed, 7)
-    # one record per transition, written in place: (x_t, action, context, x_next)
-    samples = np.empty(n_samples, dtype=[("x", float, 3), ("a", float),
-                                         ("s", float, 3), ("x_next", float, 3)])
+    design, targets = np.ones((n_samples, 3 + 1 + 3 + 1)), np.empty((n_samples, 3))
     i = ep = 0
     while i < n_samples:
         state = twin.reset(cfg, age, int(rng_for(seed, 8, ep).integers(0, 2**62)))
         for _ in range(min(episode_len, n_samples - i)):
             action = float(rng.uniform(0.0, 1.0))
-            ctx = gait_context(state.t, age)
-            x_t = state.x
+            row = design[i]
+            row[:3], row[3], row[4:7] = state.x, action, gait_context(state.t, age)
             state, res = twin.step(state, action, cfg, episode_len)
-            samples[i] = x_t, action, ctx, res.x_next
+            targets[i] = res.x_next
             i += 1
         ep += 1
-    model = fit_safe_model(samples)
+    model = fit_safe_model(design, targets)
     probe = DiscrepancyParams(w_delta=np.ones(3))
     deltas = [
-        discrepancy(x_next, model.predict(x, a, c), probe)
-        for x, a, c, x_next in samples
+        discrepancy(x_next, model.predict(row[:3], row[3], row[4:7]), probe)
+        for row, x_next in zip(design, targets)
     ]
     disc = DiscrepancyParams(w_delta=np.ones(3), delta0=percentile_95(deltas))
     return model, disc

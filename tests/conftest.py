@@ -1,4 +1,12 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import afferent
 
 _RESULTS = {}
 
@@ -30,3 +38,31 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for name in sorted(_RESULTS):
         terminalreporter.write_line(f"[{_RESULTS[name]}] {name}")
+
+
+def _run_python(code, timeout):
+    """stdout of a fresh interpreter running code with this package importable.
+
+    The interpreter leads a session of its own, so on a timeout the whole
+    process group, forked children too, is killed before TimeoutExpired
+    propagates.  A nonzero exit raises CalledProcessError.
+    """
+    src = str(Path(afferent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    return out
+
+
+@pytest.fixture()
+def run_python():
+    """run_python(code, timeout): stdout of code run in a fresh interpreter."""
+    return _run_python

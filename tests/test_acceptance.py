@@ -187,7 +187,7 @@ def _train_bandit(seed: int, optimum: float = 0.7, total_steps: int = 20_000) ->
         traj = {"obs": obs, "z": z, "logp": logp, "adv": adv, "returns": returns}
         ppo_update(policy, traj, cfg, shuffle_rng, opt)
         steps += n
-    return float(0.5 * (np.tanh(policy.mean(obs1[None, :])[0]) + 1.0))
+    return float(0.5 * (np.tanh(policy.actor.forward(obs1[None, :])[0][0, 0]) + 1.0))
 
 
 @pytest.mark.criterion("04 ppo gradient check and bandit")

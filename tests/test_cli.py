@@ -73,6 +73,37 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe\x00")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("key, command", [
+    ("evolution.gamma_d", "evolve"), ("evolution.sigma0", "evolve"), ("ppo.lr", "train"),
+    ("reward.lambda_d", "train"), ("probe.sd", "probe-lipschitz"), ("--ages", "train"),
+])
+def test_infinite_value_exits_2_naming_key(key, command, value, tmp_path, capsys):
+    """A config key, or a command-line flag when it starts with --."""
+    lines = [ln for ln in MICRO.splitlines() if ln.partition("=")[0].strip() != key]
+    flag = [f"{key}={value}"] if key.startswith("--") else []
+    if not flag:
+        lines.append(f"{key} = {value}")
+    path = tmp_path / "inf.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flag])
+    assert rc == 2
+    named = f"{key}:" if flag else f"line {len(lines)}: {key}:"
+    assert capsys.readouterr().err == (
+        f"config error: {named} expected finite number, got {value!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_ages_exits_2(micro_config, tmp_path, capsys):
     for ages in ("sixty", "60,", "60,,80"):  # as strict as `ages = ...` in a config
         rc = main(["simulate", "--config", micro_config,

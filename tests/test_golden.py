@@ -2,7 +2,8 @@
 
 Each case runs one harness entry point on a micro config and hashes its out
 tree (relative path, then bytes, over the sorted files, as bench/workloads.py
-digests a workload's tree).  The digests were recorded on the numpy and BLAS
+digests a workload's tree).  evaluate first trains the policy it loads, in a
+tree of its own, and recalibrates the safe-state model.  The digests were recorded on the numpy and BLAS
 below; float results may round differently under another build, so the test
 skips there rather than fail.
 """
@@ -46,7 +47,14 @@ DIGESTS = {
     "train": "106793d050cfd9932ba9d4ab80bfc8a511d71b281614f7cd6dcec4703e92f087",
     "evolve": "c8f2b90977807ee8eb539df4f183f7e33a90a1ac22a5ed4a5d0d6ac000a01975",
     "run_ablation": "b22e01fb06742536d4f9c092adf40a219b8e54e4f7c06af5708e46255d2f8d52",
+    "evaluate": "4b946ea3d9f11e02c3f11edd51ca00aaef9348b82c04ffd1e9da60b21a0e7ba4",
+    "simulate": "9a77af627350246256764c8b366bc1cf06fbf17dd53aff7298217f710553006f",
+    "probe_lipschitz": "e31ce6a60f15ed720cd7dd6e27a303fde4b2a01547effd1f7e2cc88a5dcf1e68",
 }
+
+# lines an entry point adds to MICRO
+EXTRA = {"simulate": "sim.steps = 20\nsim.repeats = 2\n",
+         "probe_lipschitz": "probe.pairs = 2\nprobe.radius = 10.0\n"}
 
 
 def _build() -> tuple:
@@ -68,6 +76,11 @@ def tree_digest(out: Path) -> str:
 def test_out_tree_digest_is_pinned(entry, tmp_path):
     if _build() != RECORDED_ON:
         pytest.skip(f"digests recorded on numpy/BLAS {RECORDED_ON}, this is {_build()}")
+    text = MICRO + EXTRA.get(entry, "")
+    if entry == "evaluate":
+        trained = tmp_path / "train"
+        report = harness.train(parse_config(text + f"out = {trained}\n"))
+        text += f"policy = {trained / report['policy_file']}\n"
     out = tmp_path / "out"
-    getattr(harness, entry)(parse_config(MICRO + f"out = {out}\n"))
+    getattr(harness, entry)(parse_config(text + f"out = {out}\n"))
     assert tree_digest(out) == DIGESTS[entry]

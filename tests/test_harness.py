@@ -3,11 +3,8 @@
 import csv
 import json
 import os
-import signal
 import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,29 +262,7 @@ def test_parallel_map_runs_each_slice_in_its_own_process():
         assert all(pids[i] == pids[i % 3] for i in range(20))
 
 
-def _run_python(code, timeout):
-    """stdout of a fresh interpreter running code with this package importable.
-
-    The interpreter leads a session of its own, so on a timeout the whole
-    process group, forked children too, is killed before TimeoutExpired
-    propagates.
-    """
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
-        try:
-            out, err = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            raise
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
-    return out
-
-
-def test_run_python_kills_forked_children_on_timeout(tmp_path):
+def test_run_python_kills_forked_children_on_timeout(run_python, tmp_path):
     pgid_file = tmp_path / "pgid"
     code = f"""
 import os, time
@@ -299,7 +274,7 @@ with open({str(pgid_file)!r}, "w") as f:
 time.sleep(60)
 """
     with pytest.raises(subprocess.TimeoutExpired):
-        _run_python(code, timeout=1)
+        run_python(code, timeout=1)
     pgid = int(pgid_file.read_text())
     # the killed child is reparented and stays a zombie until it is reaped
     deadline = time.monotonic() + 20
@@ -313,13 +288,13 @@ time.sleep(60)
         os.killpg(pgid, 0)
 
 
-def test_cli_and_harness_import_without_the_process_pool():
+def test_cli_and_harness_import_without_the_process_pool(run_python):
     code = ("import sys, afferent.cli, afferent.harness\n"
             "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
-    assert _run_python(code, timeout=60).split() == ["False", "False"]
+    assert run_python(code, timeout=60).split() == ["False", "False"]
 
 
-def test_parallel_map_forks_whatever_the_default_start_method():
+def test_parallel_map_forks_whatever_the_default_start_method(run_python):
     code = """
 import multiprocessing, os
 from afferent.harness import _parallel_map
@@ -332,10 +307,10 @@ if __name__ == "__main__":
     got = _parallel_map(f, list(range(7)), 3)
     print([v for v, _ in got] == [i * i for i in range(7)], len({pid for _, pid in got}))
 """
-    assert _run_python(code, timeout=60).split() == ["True", "3"]
+    assert run_python(code, timeout=60).split() == ["True", "3"]
 
 
-def test_parallel_map_raises_when_a_worker_dies_and_leaves_no_child():
+def test_parallel_map_raises_when_a_worker_dies_and_leaves_no_child(run_python):
     # Workers 1 and 3 die; worker 2's replies outgrow a pipe's buffer, so it
     # must be drained before it can be joined.
     code = """
@@ -358,7 +333,7 @@ try:
 except ChildProcessError:
     print("no child")
 """
-    out = _run_python(code, timeout=60).splitlines()
+    out = run_python(code, timeout=60).splitlines()
     assert out[0].startswith("raised") and out[1] == "no child"
 
 

@@ -86,7 +86,7 @@ def test_policy_nets_are_views_of_theta():
         return (h @ flat[32:40].reshape(8, 1) + flat[40:41])[:, 0]
 
     obs = traj["obs"]
-    assert np.array_equal(policy.mean(obs), manual(policy.theta[:na], obs))
+    assert np.array_equal(policy.actor.forward(obs)[0][:, 0], manual(policy.theta[:na], obs))
     assert np.array_equal(policy.value(obs), manual(policy.theta[na + 1:], obs))
     assert policy.log_std == policy.theta[na]
 
@@ -99,7 +99,7 @@ def test_pickled_policy_keeps_its_nets_as_views_of_theta():
     for net in (back.actor, back.critic):
         assert all(np.shares_memory(a, back.theta) for a in (*net.weights, *net.biases))
     back.theta[:] = 0.0
-    assert np.all(back.mean(np.ones((2, 3))) == 0.0) and back.log_std == 0.0
+    assert np.all(back.actor.forward(np.ones((2, 3)))[0] == 0.0) and back.log_std == 0.0
 
 
 def test_ppo_update_clips_log_std_slot():
@@ -129,7 +129,7 @@ def test_sample_action_z_consistency():
     obs = np.array([0.1, 0.5, 0.9])
     action, logp, z = sample_action_z(policy, obs, rng_for(3))
     assert action == pytest.approx(0.5 * (np.tanh(z) + 1.0), abs=1e-12)
-    mu = float(policy.mean(obs[None, :])[0])
+    mu = float(policy.actor.forward(obs[None, :])[0][0, 0])
     std = np.exp(policy.log_std)
     gauss = -0.5 * ((z - mu) / std) ** 2 - policy.log_std - 0.5 * np.log(2 * np.pi)
     jac = np.log(2.0) - 2.0 * z - 2.0 * softplus(-2.0 * z)
@@ -146,7 +146,7 @@ def test_sample_action_z_matches_batch_path_bits():
         policy.log_std = float(obs_rng.uniform(LOG_STD_MIN, LOG_STD_MAX))
         obs = obs_rng.uniform(-1.0, 1.0, 68) * (20.0 if i % 3 == 0 else 1.0)
         got = sample_action_z(policy, obs, rng)
-        mu = policy.mean(obs[None])
+        mu = policy.actor.forward(obs[None])[0][:, 0]
         std = np.exp(policy.log_std)
         z = mu + std * twin.standard_normal((1,))
         logp, d = _log_prob_z(mu, policy.log_std, std, z)

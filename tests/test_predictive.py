@@ -13,25 +13,21 @@ from afferent.predictive import (
 from afferent.util import rng_for, sigmoid
 
 
-def linear_rollouts(n, seed=0, noise=0.0):
-    """Transitions generated by a known linear map for recovery tests."""
+def linear_transitions(n, seed=0, noise=0.0):
+    """Design rows [x, a, 1] and targets of a known linear map for recovery tests."""
     rng = rng_for(seed, 40)
     A = np.array([[0.5, 0.1, 0.2, 0.0], [0.0, 0.4, 0.1, 0.3], [0.2, 0.0, 0.6, 0.1]])
     b = np.array([0.05, -0.02, 0.1])
-    out = []
-    for _ in range(n):
-        x = rng.uniform(0.0, 1.0, 3)
-        a = float(rng.uniform(0.0, 1.0))
-        s = rng.uniform(-1.0, 1.0, 0 + 0)  # no context columns in this fixture
-        z = np.concatenate([x, [a]])
-        x_next = A @ z + b + rng.normal(0.0, noise, 3)
-        out.append((x, a, s, x_next))
-    return out, A, b
+    design, targets = np.ones((n, 5)), np.empty((n, 3))  # no context columns
+    for row, y in zip(design, targets):
+        row[:3], row[3] = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0)
+        y[:] = A @ row[:4] + b + rng.normal(0.0, noise, 3)
+    return design, targets, A, b
 
 
 def test_fit_recovers_linear_map():
-    rollouts, A, b = linear_rollouts(200, seed=1)
-    model = fit_safe_model(rollouts)
+    design, targets, A, b = linear_transitions(200, seed=1)
+    model = fit_safe_model(design, targets)
     assert np.allclose(model.A, A, atol=1e-8)
     assert np.allclose(model.b, b, atol=1e-8)
     assert model.residual_rms == pytest.approx(0.0, abs=1e-8)
@@ -39,25 +35,24 @@ def test_fit_recovers_linear_map():
 
 
 def test_fit_residual_rms_tracks_noise():
-    rollouts, _, _ = linear_rollouts(4000, seed=2, noise=0.05)
-    model = fit_safe_model(rollouts)
+    design, targets, _, _ = linear_transitions(4000, seed=2, noise=0.05)
+    model = fit_safe_model(design, targets)
     assert model.residual_rms == pytest.approx(0.05, rel=0.1)
 
 
 def test_fit_rank_deficient_falls_back_to_ridge():
-    x = np.array([0.5, 0.5, 0.5])
-    rollouts = [(x, 0.5, np.zeros(0), x) for _ in range(10)]
-    model = fit_safe_model(rollouts)
+    design = np.tile([0.5, 0.5, 0.5, 0.5, 1.0], (10, 1))  # x = 0.5 and a = 0.5 every row
+    model = fit_safe_model(design, design[:, :3].copy())
     assert model.ridge
     assert np.all(np.isfinite(model.A)) and np.all(np.isfinite(model.b))
 
 
 def test_fit_validation():
     with pytest.raises(ConfigError):
-        fit_safe_model([])
-    x = np.array([0.5, 0.5, 0.5])
+        fit_safe_model(np.empty((0, 5)), np.empty((0, 3)))
+    design = np.tile([0.5, 0.5, 0.5, 0.5, 1.0], (3, 1))
     with pytest.raises(ConfigError):
-        fit_safe_model([(x, 0.5, np.zeros(0), x)] * 3)  # fewer samples than columns
+        fit_safe_model(design, design[:, :3].copy())  # fewer samples than columns
 
 
 def test_predict_shapes():

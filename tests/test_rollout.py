@@ -307,9 +307,9 @@ def test_calibrate_predictive_frozen_seed():
 
 
 def test_calibrate_predictive_holds_its_samples_in_place(monkeypatch):
-    # 2000 float64 transition records, one design and one target matrix, and
-    # lstsq's copies of both: about 0.5 MB.  A Python object per sample or
-    # one array per design row takes twice that.
+    # One design and one target matrix of 2000 float64 rows and lstsq's
+    # copies of both: about 0.35 MB.  A Python object per sample or one
+    # array per design row takes twice that.
     monkeypatch.setattr(env, "_rows", {})  # a cold noise table, whatever ran before
     tracemalloc.start()
     try:

@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import afferent
 from afferent.afferents import Genome, handcrafted_genome
 from afferent.errors import ValidationError
 from afferent.policy import init_policy
@@ -61,14 +56,10 @@ def test_schema_rejects_bad_lines(mutate):
         validate_rollout_line(bad)
 
 
-def test_cli_and_harness_import_without_jsonschema():
+def test_cli_and_harness_import_without_jsonschema(run_python):
     # Only simulate validates rollout lines, so no other command pays the import.
-    src = str(Path(afferent.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, afferent.cli, afferent.harness; print('jsonschema' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert run_python(code, timeout=60).strip() == "False"
 
 
 def test_jsonl_round_trip_and_sorted_keys(tmp_path):
@@ -123,7 +114,7 @@ def test_policy_round_trip(tmp_path):
     assert loaded.log_std == -1.25
     assert np.array_equal(loaded.theta, policy.theta)
     obs = rng_for(4).uniform(0, 1, (6, 5))
-    assert np.array_equal(loaded.mean(obs), policy.mean(obs))
+    assert np.array_equal(loaded.actor.forward(obs)[0], policy.actor.forward(obs)[0])
     assert np.array_equal(loaded.value(obs), policy.value(obs))
 
 
