@@ -4,7 +4,9 @@ A config document is a sequence of ``key = value`` lines with ``#`` comments.
 Dotted keys override grouped defaults (``ppo.lr``, ``reward.lambda_cat``,
 ``evolution.popsize``); unknown keys are rejected.  The keys and their
 defaults are the fields of ExperimentConfig; DEFAULTS lists every one, so a
-dumped default document reproduces stock behavior.
+dumped default document reproduces stock behavior.  Each bound is declared
+once, on its field, and a value outside it raises ConfigError naming the key
+in one phrasing: ``ppo.clip must be > 0``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .env import AGE_MAX, AGE_MIN, EPISODE_LEN, SCENARIOS
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, bounded, check_bounds
 from .evolution import FitnessSpec
 from .memory import CAPACITY, EPS_D, K_RET, KAPPA_CAT
 from .policy import PPOConfig, RewardParams
@@ -51,11 +53,6 @@ ABLATIONS = tuple(ARMS)
 FITNESS_ARM = Arm("base", False, False, ())
 
 
-def _key(key: str, default):
-    """A field set by the dotted config ``key`` instead of its own name."""
-    return field(default=default, metadata={"key": key})
-
-
 @dataclass
 class ExperimentConfig:
     """Resolved configuration shared by all subcommands.
@@ -63,46 +60,51 @@ class ExperimentConfig:
     Each field is one config key: its name, or the dotted key in its
     metadata.  A nested dataclass field is a group contributing one
     ``<group>.<name>`` key per field, the group being its name or metadata key.
+    Each field declares its bounds, and a group's fields declare theirs.
     """
 
     scenario: str = "normal"
-    ages: tuple = (60.0,)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    ages: tuple = bounded((60.0,), "nonempty", "distinct", f"in [{AGE_MIN:g}, {AGE_MAX:g}]")
+    seeds: tuple = bounded((0, 1, 2, 3, 4), "nonempty", "distinct", ">= 0")
     ablation: str = "full"
-    out: str = "out"
-    seed: int = 0
-    jobs: int = 1
-    m: int = 64
-    k: int = 3
-    dt: float = 1.0
-    episode_len: int = EPISODE_LEN
+    out: str = bounded("out", "nonempty")
+    seed: int = bounded(0, ">= 0")
+    jobs: int = bounded(1, ">= 1")
+    m: int = bounded(64, ">= 1")
+    k: int = bounded(3, ">= 1")
+    dt: float = bounded(1.0, "> 0")
+    episode_len: int = bounded(EPISODE_LEN, ">= 1")
     genome: str = ""
     policy: str = ""
-    memory_capacity: int = _key("memory.capacity", CAPACITY)
-    memory_k_ret: int = _key("memory.k_ret", K_RET)
-    memory_eps_d: float = _key("memory.eps_d", EPS_D)
-    memory_kappa_cat: float = _key("memory.kappa_cat", KAPPA_CAT)
+    memory_capacity: int = bounded(CAPACITY, ">= 1", key="memory.capacity")
+    memory_k_ret: int = bounded(K_RET, ">= 1", key="memory.k_ret")
+    memory_eps_d: float = bounded(EPS_D, ">= 0", key="memory.eps_d")
+    memory_kappa_cat: float = bounded(KAPPA_CAT, ">= 0", key="memory.kappa_cat")
     ppo: PPOConfig = field(default_factory=PPOConfig)
     reward: RewardParams = field(default_factory=RewardParams)
     fitness: FitnessSpec = field(default_factory=FitnessSpec,
                                  metadata={"key": "evolution"})
-    evo_generations: int = _key("evolution.generations", 5)
-    evo_popsize: int = _key("evolution.popsize", 8)
-    evo_sigma0: float = _key("evolution.sigma0", 0.5)
-    pred_seed: int = _key("predictive.seed", 42)
-    pred_samples: int = _key("predictive.samples", 2000)
-    pred_kappa: float = _key("predictive.kappa", DiscrepancyParams.kappa)
-    pred_lambda_env: float = _key("predictive.lambda_env", DiscrepancyParams.lambda_env)
-    pred_lambda_pred: float = _key("predictive.lambda_pred", DiscrepancyParams.lambda_pred)
-    sim_repeats: int = _key("sim.repeats", 5)
-    sim_steps: int = _key("sim.steps", 80)
-    sim_action: float = _key("sim.action", 0.7)
-    sim_age: float = _key("sim.age", 40.0)
-    eval_episodes: int = _key("eval.episodes", 2)
-    eval_seeds: tuple = _key("eval.seeds", (701, 702, 703))
-    probe_pairs: int = _key("probe.pairs", 100)
-    probe_radius: float = _key("probe.radius", 0.1)
-    probe_sd: float = _key("probe.sd", 0.01)
+    evo_generations: int = bounded(5, ">= 1", key="evolution.generations")
+    evo_popsize: int = bounded(8, ">= 2", key="evolution.popsize")
+    evo_sigma0: float = bounded(0.5, "> 0", key="evolution.sigma0")
+    pred_seed: int = bounded(42, ">= 0", key="predictive.seed")
+    # The safe model's design: x (3), action, context (3), bias.
+    pred_samples: int = bounded(2000, ">= 8", key="predictive.samples")
+    # DiscrepancyParams declares the bounds of these three.
+    pred_kappa: float = bounded(DiscrepancyParams.kappa, key="predictive.kappa")
+    pred_lambda_env: float = bounded(DiscrepancyParams.lambda_env,
+                                     key="predictive.lambda_env")
+    pred_lambda_pred: float = bounded(DiscrepancyParams.lambda_pred,
+                                      key="predictive.lambda_pred")
+    sim_repeats: int = bounded(5, ">= 1", key="sim.repeats")
+    sim_steps: int = bounded(80, ">= 1", key="sim.steps")
+    sim_action: float = bounded(0.7, "in [0, 1]", key="sim.action")
+    sim_age: float = bounded(40.0, f"in [{AGE_MIN:g}, {AGE_MAX:g}]", key="sim.age")
+    eval_episodes: int = bounded(2, ">= 1", key="eval.episodes")
+    eval_seeds: tuple = bounded((701, 702, 703), "distinct", ">= 0", key="eval.seeds")
+    probe_pairs: int = bounded(100, ">= 1", key="probe.pairs")
+    probe_radius: float = bounded(0.1, "> 0", key="probe.radius")
+    probe_sd: float = bounded(0.01, "> 0", key="probe.sd")
 
     @property
     def mode(self) -> str:
@@ -114,62 +116,23 @@ class ExperimentConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not self.ages:
-            raise ConfigError("ages must be nonempty")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.m < 1 or self.k < 1:
-            raise ConfigError("m and k must be >= 1")
+        check_bounds(self, ConfigError)
         if self.k != 3:
             raise ConfigError(f"k must be 3, the twin's feature count; got {self.k}")
-        for key, value in (("episode_len", self.episode_len),
-                           ("memory.capacity", self.memory_capacity),
-                           ("memory.k_ret", self.memory_k_ret),
-                           ("eval.episodes", self.eval_episodes),
-                           ("probe.pairs", self.probe_pairs),
-                           ("evolution.generations", self.evo_generations),
-                           ("sim.steps", self.sim_steps), ("sim.repeats", self.sim_repeats)):
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if self.evo_popsize < 2:
-            raise ConfigError("evolution.popsize must be >= 2")
-        if self.pred_samples < 8:  # the safe model's design: x (3), action, context (3), bias
-            raise ConfigError("predictive.samples must be >= 8")
-        for key, values in (("seeds", self.seeds), ("ages", self.ages),
-                            ("eval.seeds", self.eval_seeds),
-                            ("evolution.eval_seeds", self.fitness.eval_seeds)):
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{key} must be distinct")
-        for key, values in (("seed", (self.seed,)), ("seeds", self.seeds),
-                            ("eval.seeds", self.eval_seeds),
-                            ("predictive.seed", (self.pred_seed,)),
-                            ("ppo.total_steps", (self.ppo.total_steps,)),
-                            ("predictive.lambda_env", (self.pred_lambda_env,)),
-                            ("predictive.lambda_pred", (self.pred_lambda_pred,)),
-                            ("memory.eps_d", (self.memory_eps_d,)),
-                            ("memory.kappa_cat", (self.memory_kappa_cat,))):
-            if not all(v >= 0 for v in values):
-                raise ConfigError(f"{key} must be >= 0")
-        if not self.pred_lambda_env + self.pred_lambda_pred > 0:
-            raise ConfigError("predictive.lambda_env + predictive.lambda_pred must be positive")
-        for key, value in (("dt", self.dt), ("predictive.kappa", self.pred_kappa),
-                           ("evolution.sigma0", self.evo_sigma0),
-                           ("probe.radius", self.probe_radius),
-                           ("probe.sd", self.probe_sd)):
-            if not value > 0:
-                raise ConfigError(f"{key} must be positive")
         if not self.dt < 50:
             raise ConfigError("dt must be < 50: decoding floors tau at dt/10, and the "
                               "handcrafted genome's tau is 5")
-        if not 0.0 <= self.sim_action <= 1.0:
-            raise ConfigError("sim.action must be in [0, 1]")
-        if not AGE_MIN <= self.sim_age <= AGE_MAX:
-            raise ConfigError(f"sim.age must be in [{AGE_MIN:g}, {AGE_MAX:g}]")
-        for a in self.ages:
-            if not AGE_MIN <= float(a) <= AGE_MAX:
-                raise ConfigError(f"age {a} outside [{AGE_MIN:g}, {AGE_MAX:g}]")
+        try:
+            DiscrepancyParams(w_delta=(), kappa=self.pred_kappa,
+                              lambda_env=self.pred_lambda_env,
+                              lambda_pred=self.pred_lambda_pred)
+        except ValidationError as exc:
+            raise _in_group("predictive", exc) from None
+
+
+def _in_group(group: str, exc: ValidationError) -> ConfigError:
+    """A group's error, each field it names spelled as its config key."""
+    return ConfigError(f"{group}.{exc}".replace(" + ", f" + {group}."))
 
 
 def _keys():
@@ -247,8 +210,7 @@ def _build(values: dict, base: ExperimentConfig | None = None) -> ExperimentConf
         try:
             top[name] = replace(getattr(base, name), **sub_values)
         except ValidationError as exc:
-            # A group's checks name the field; the config key adds the group.
-            raise ConfigError(f"{group}.{exc}") from exc
+            raise _in_group(group, exc) from exc
     return replace(base, **top)
 
 

@@ -14,12 +14,12 @@ result are immutable named tuples.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError, bounded, check_bounds
 
 __all__ = [
     "ScenarioConfig",
@@ -49,19 +49,14 @@ class ScenarioConfig:
     """Pathology preset: feature multipliers plus instability and noise level."""
 
     name: str
-    stress_mult: float
-    strain_mult: float
-    shear_mult: float
-    instability: float
-    noise_sd: float = 0.02
+    stress_mult: float = bounded(MISSING, "> 0")
+    strain_mult: float = bounded(MISSING, "> 0")
+    shear_mult: float = bounded(MISSING, "> 0")
+    instability: float = bounded(MISSING, "in [0, 1]")
+    noise_sd: float = bounded(0.02, ">= 0")
 
     def __post_init__(self):
-        if not (self.stress_mult > 0 and self.strain_mult > 0 and self.shear_mult > 0):
-            raise ConfigError("scenario multipliers must be positive")
-        if not 0.0 <= self.instability <= 1.0:
-            raise ConfigError("instability must lie in [0, 1]")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be nonnegative")
+        check_bounds(self)
 
 
 SCENARIOS = {
@@ -133,7 +128,7 @@ def _noise(seed: int, t: int, sd: float) -> tuple:
 def gen_features(state: EnvState, action: float, cfg: ScenarioConfig) -> np.ndarray:
     """Generate [stress, strain, shear] at the state's current step index."""
     if not 0.0 <= action <= 1.0:
-        raise ValidationError("action must lie in [0, 1]")
+        raise ValidationError("action must be in [0, 1]")
     # Python floats round as numpy's float64 scalars do; the sines are numpy's.
     phase = state.t % GAIT_PERIOD
     sin_phi = SIN_PHASE[phase]
@@ -169,7 +164,7 @@ def task_reward(action: float, age: float) -> float:
 def reset(cfg: ScenarioConfig, age: float, seed: int) -> EnvState:
     """Fresh state at t=0 with zero damage and features generated at action 0."""
     if not AGE_MIN <= age <= AGE_MAX:
-        raise ValidationError("age must lie in [%g, %g]" % (AGE_MIN, AGE_MAX))
+        raise ValidationError("age must be in [%g, %g]" % (AGE_MIN, AGE_MAX))
     age, seed = float(age), int(seed)
     blank = EnvState(0, np.zeros(3), 0.0, age, seed)
     return blank._replace(x=gen_features(blank, 0.0, cfg))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .afferents import Genome
 from .cmaes import ask, init_evolution, tell
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, bounded, check_bounds
 from .metrics import pool
 from .policy import PPOConfig
 from .rollout import evaluate_policy, rl_train
@@ -32,27 +32,15 @@ __all__ = [
 
 @dataclass
 class FitnessSpec:
-    gamma_d: float = 1.0
-    eval_episodes: int = 2
-    eval_seeds: tuple = (901, 902)
-    rl_steps_short: int = 2000
-    rl_steps_long: int = 5000
-    top_fraction: float = 0.25
+    gamma_d: float = bounded(1.0, "> 0")
+    eval_episodes: int = bounded(2, ">= 1")
+    eval_seeds: tuple = bounded((901, 902), "nonempty", "distinct", ">= 0")
+    rl_steps_short: int = bounded(2000, ">= 0")
+    rl_steps_long: int = bounded(5000, ">= 0")
+    top_fraction: float = bounded(0.25, "in (0, 1]")
 
     def __post_init__(self):
-        if not self.gamma_d > 0:
-            raise ValidationError("gamma_d must be positive")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ValidationError("top_fraction must lie in (0, 1]")
-        if self.eval_episodes < 1:
-            raise ValidationError("eval_episodes must be >= 1")
-        for name in ("rl_steps_short", "rl_steps_long"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if not self.eval_seeds:
-            raise ValidationError("eval_seeds must be nonempty")
-        if any(s < 0 for s in self.eval_seeds):
-            raise ValidationError("eval_seeds must be >= 0")
+        check_bounds(self)
 
 
 def _genome_hash(genome: Genome) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, bounded, check_bounds
 from .nets import MLP, Adam, clip_grad
 from .util import softplus
 
@@ -50,47 +50,31 @@ class RewardParams:
     put all three penalty terms within an order of magnitude of the task term.
     """
 
-    lambda_cat: float = 2.0
-    lambda_d: float = 5.0
-    lambda_mem: float = 25.0
+    lambda_cat: float = bounded(2.0, ">= 0")
+    lambda_d: float = bounded(5.0, ">= 0")
+    lambda_mem: float = bounded(25.0, ">= 0")
 
     def __post_init__(self):
-        for name in ("lambda_cat", "lambda_d", "lambda_mem"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0")
+        check_bounds(self)
 
 
 @dataclass
 class PPOConfig:
-    clip: float = 0.2
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    lr: float = 3e-4
-    rollout_len: int = 1024
-    epochs: int = 4
-    minibatch: int = 64
-    total_steps: int = 20000
-    hidden: tuple = (64, 64)
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    max_grad_norm: float = 0.5
+    clip: float = bounded(0.2, "> 0")
+    gamma: float = bounded(0.99, "in (0, 1]")
+    gae_lambda: float = bounded(0.95, "in [0, 1]")
+    lr: float = bounded(3e-4, "> 0")
+    rollout_len: int = bounded(1024, ">= 1")
+    epochs: int = bounded(4, ">= 1")
+    minibatch: int = bounded(64, ">= 1")
+    total_steps: int = bounded(20000, ">= 0")
+    hidden: tuple = bounded((64, 64), ">= 1")
+    entropy_coef: float = bounded(0.01, ">= 0")
+    value_coef: float = bounded(0.5, ">= 0")
+    max_grad_norm: float = bounded(0.5, "> 0")
 
     def __post_init__(self):
-        for name in ("clip", "lr", "max_grad_norm"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValidationError("gae_lambda must lie in [0, 1]")
-        for name in ("rollout_len", "epochs", "minibatch"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if any(width < 1 for width in self.hidden):
-            raise ValidationError("hidden must be >= 1 in every layer")
-        for name in ("value_coef", "entropy_coef"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0")
+        check_bounds(self)
 
 
 def obs_dim(mode: str, k: int, m: int) -> int:

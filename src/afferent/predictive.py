@@ -9,11 +9,11 @@ be blended with the envelope-based CAT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, bounded, check_bounds
 from .util import sigmoid
 
 __all__ = [
@@ -56,24 +56,17 @@ class SafeStateModel:
 class DiscrepancyParams:
     """Weights and calibration for the predictive risk signal."""
 
-    w_delta: np.ndarray
-    kappa: float = 10.0
-    delta0: float = 0.0
-    lambda_env: float = 0.7
-    lambda_pred: float = 0.3
+    w_delta: np.ndarray = bounded(MISSING, ">= 0")
+    kappa: float = bounded(10.0, "> 0")
+    delta0: float = bounded(0.0, ">= 0")
+    lambda_env: float = bounded(0.7, ">= 0")
+    lambda_pred: float = bounded(0.3, ">= 0")
 
     def __post_init__(self):
         self.w_delta = np.asarray(self.w_delta, dtype=float)
-        if np.any(self.w_delta < 0):
-            raise ValidationError("w_delta must be nonnegative")
-        if not self.kappa > 0:
-            raise ValidationError("kappa must be positive")
-        if self.delta0 < 0:
-            raise ValidationError("delta0 must be nonnegative")
-        if self.lambda_env < 0 or self.lambda_pred < 0:
-            raise ValidationError("combination weights must be nonnegative")
+        check_bounds(self)
         if not self.lambda_env + self.lambda_pred > 0:
-            raise ValidationError("lambda_env + lambda_pred must be positive")
+            raise ValidationError("lambda_env + lambda_pred must be > 0")
 
 
 def fit_safe_model(design: np.ndarray, targets: np.ndarray) -> SafeStateModel:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 import zipfile
 from pathlib import Path
 
@@ -304,8 +305,34 @@ def test_removed_wiring_key_exits_2(key, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_readme_config_example_and_flags_hold():
+@pytest.mark.parametrize("line, flags", [("", ["--out", "  "]), ("out =", [])])
+def test_empty_out_exits_2_writing_nothing(line, flags, tmp_path, monkeypatch, capsys):
+    """An empty out would put runs/ and reports/ in the working directory."""
+    path = tmp_path / "c.cfg"
+    path.write_text(MICRO + line + "\n")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    rc = main(["simulate", "--config", str(path), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: out must be nonempty\n"
+    assert not any(cwd.iterdir())
+
+
+def test_readme_config_example_and_flags_hold(tmp_path, capsys):
     text = README.read_text()
+    # Each quoted input exits 2 with exactly the quoted message.
+    quoted = re.findall(r"`([^`]+)` exits 2 with `config error: ([^`]+)`",
+                        re.sub(r"\s*\n\s*", " ", text))
+    assert {"ppo.clip must be > 0", "--seed: expected integer, got 'x'"} <= {
+        message for _, message in quoted}
+    for given, message in quoted:
+        path = tmp_path / "quoted.cfg"
+        path.write_text(MICRO + ("" if given.startswith("--") else given + "\n"))
+        flags = shlex.split(given) if given.startswith("--") else []
+        rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2, given
+        assert capsys.readouterr().err == f"config error: {message}\n", given
     example = re.search(r"```\n# exp\.cfg\n(.*?)```", text, re.S).group(1)
     cfg = parse_config(example)
     assert cfg.m == 16 and cfg.ages == (20.0, 60.0, 80.0)

@@ -21,7 +21,7 @@ from afferent.env import (
     step,
     task_reward,
 )
-from afferent.errors import ConfigError, ValidationError
+from afferent.errors import ValidationError
 from afferent.policy import init_policy, obs_dim
 from afferent.rollout import AgentSetup, evaluate_policy
 from afferent.util import rng_for
@@ -45,11 +45,11 @@ def test_scenario_lookup():
 
 
 def test_scenario_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=r"^stress_mult must be > 0$"):
         replace(SCENARIOS["normal"], stress_mult=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=r"^instability must be in \[0, 1\]$"):
         replace(SCENARIOS["normal"], instability=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match=r"^noise_sd must be >= 0$"):
         replace(SCENARIOS["normal"], noise_sd=-0.1)
 
 
