@@ -35,22 +35,25 @@ __all__ = [
     "apply_cli_overrides",
 ]
 
-# Each ablation arm's wiring: observation mode, episodic memory on or off,
-# predictive layer on or off, and the reward weights it sets to zero.  The arm
-# is the only wiring switch; no_evolution is wired as full and differs in its
-# genome alone, the handcrafted one.
-Arm = namedtuple("Arm", "mode use_memory use_predictive zeroed")
+# Each ablation arm's wiring: observation mode, predictive layer on or off, and
+# the evolved genome or the handcrafted one.  An arm keeps an episodic store
+# exactly when it observes epi.  No arm zeroes a reward weight: cat is 0 where
+# nothing is sensed and y_hat is 0 without a store, so each term subtracts +0.0.
+class Arm(namedtuple("Arm", "mode use_predictive evolved", defaults=(True,))):
+    use_memory = property(lambda self: self.mode == "epi")
+
+
 ARMS = {
-    "full": Arm("epi", True, True, ()),
-    "no_cat": Arm("plain", False, False, ("lambda_cat", "lambda_mem")),
-    "no_evolution": Arm("epi", True, True, ()),
-    "no_amm": Arm("base", False, True, ("lambda_mem",)),
-    "no_predictive": Arm("epi", True, False, ()),
+    "full": Arm("epi", True),
+    "no_cat": Arm("plain", False),
+    "no_evolution": Arm("epi", True, evolved=False),
+    "no_amm": Arm("base", True),
+    "no_predictive": Arm("epi", False),
 }
 ABLATIONS = tuple(ARMS)
 # Evolution scores genomes on base-mode learning, without memory or the
 # predictive layer; gate 06 and the evolve_base bench counts rely on it.
-FITNESS_ARM = Arm("base", False, False, ())
+FITNESS_ARM = Arm("base", False)
 
 
 @dataclass
@@ -101,9 +104,9 @@ class ExperimentConfig:
     sim_action: float = bounded(0.7, "in [0, 1]", key="sim.action")
     sim_age: float = bounded(40.0, f"in [{AGE_MIN:g}, {AGE_MAX:g}]", key="sim.age")
     eval_episodes: int = bounded(2, ">= 1", key="eval.episodes")
-    eval_seeds: tuple = bounded((701, 702, 703), "distinct", ">= 0", key="eval.seeds")
+    eval_seeds: tuple = bounded((701, 702, 703), "nonempty", "distinct", ">= 0", key="eval.seeds")
     probe_pairs: int = bounded(100, ">= 1", key="probe.pairs")
-    probe_radius: float = bounded(0.1, "> 0", key="probe.radius")
+    probe_radius: float = bounded(0.5, "> 0", key="probe.radius")
     probe_sd: float = bounded(0.01, "> 0", key="probe.sd")
 
     @property

@@ -110,14 +110,13 @@ def evolve_genome(cfg: ExperimentConfig):
 
 def _build_setup(cfg: ExperimentConfig, arm: Arm, genome: Genome,
                  age: float, model, disc) -> AgentSetup:
-    """One agent under arm's wiring, with arm's reward weights zeroed in cfg.reward."""
+    """One agent under arm's wiring, trained on cfg.reward."""
     array = decode_genome(genome, cfg.dt)
     memory = (MemoryStore(cfg.memory_capacity, cfg.memory_k_ret, cfg.memory_eps_d,
                           cfg.memory_kappa_cat) if arm.use_memory else None)
     return AgentSetup(
         scenario=twin.SCENARIOS[cfg.scenario], age=float(age), array=array,
-        reward=replace(cfg.reward, **dict.fromkeys(arm.zeroed, 0.0)),
-        mode=arm.mode, memory=memory,
+        reward=cfg.reward, mode=arm.mode, memory=memory,
         safe_model=model if arm.use_predictive else None,
         disc=disc if arm.use_predictive else None,
         episode_len=cfg.episode_len,
@@ -150,8 +149,8 @@ def _train_eval_cell(args):
 def _arm_inputs(cfg: ExperimentConfig):
     """Arm, genome and safe model (None, None without one) of cfg.ablation."""
     arm = variant_plan(cfg, cfg.ablation)
-    genome = (handcrafted_genome(cfg.m, cfg.k, cfg.dt)
-              if cfg.ablation == "no_evolution" else _resolve_genome(cfg))
+    genome = (_resolve_genome(cfg) if arm.evolved
+              else handcrafted_genome(cfg.m, cfg.k, cfg.dt))
     model, disc = resolve_predictive(cfg) if arm.use_predictive else (None, None)
     return arm, genome, model, disc
 
@@ -340,8 +339,8 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
 def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     """Train and evaluate every ablation arm across cfg.ages x cfg.seeds.
 
-    Arms other than no_evolution share one genome: the configured file if
-    given, otherwise the best genome from a fresh outer-loop run.  Returns
+    The evolved arms share one genome: the configured file if given,
+    otherwise the best genome from a fresh outer-loop run.  Returns
     {variant: MetricsReport}.  reports/ablation.json holds these reports
     under "variants", metrics.compare_arms' full-vs-arm Welch tests under
     "welch", and their count as "bonferroni_multiplier".
@@ -359,7 +358,7 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
 
     cells = [
         (cfg, variant, float(age), int(seed),
-         baseline if variant == "no_evolution" else genome, model, disc)
+         genome if ARMS[variant].evolved else baseline, model, disc)
         for variant in ABLATIONS
         for age in cfg.ages
         for seed in cfg.seeds

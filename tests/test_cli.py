@@ -11,7 +11,7 @@ import pytest
 from afferent.afferents import handcrafted_genome
 from afferent import harness
 from afferent.cli import _resolve_config, build_parser, main
-from afferent.config import _FLAGS, load_config, parse_config
+from afferent.config import _FLAGS, ARMS, load_config, parse_config
 from afferent.errors import TrainingError
 from afferent.policy import init_policy
 from afferent.storage import save_genome, save_policy
@@ -348,6 +348,20 @@ def test_readme_config_example_and_flags_hold(tmp_path, capsys):
     for name, sub in subparsers.choices.items():
         missing = flags - set(sub._option_string_actions)
         assert not missing, f"{name} lacks documented flags {sorted(missing)}"
+
+
+def test_readme_arm_table_matches_arms():
+    text = README.read_text()
+    head = "| arm | observation mode | episodic memory | predictive layer | genome |"
+    rows = text[text.index(head):].split("\n\n", 1)[0].splitlines()[2:]
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    assert [re.fullmatch(r"`(\w+)`", c[0]).group(1) for c in cells] == list(ARMS)
+    for name, mode, memory, predictive, genome in cells:
+        arm = ARMS[name.strip("`")]
+        assert re.match(r"`(\w+)`", mode).group(1) == arm.mode, name
+        assert (memory, predictive) == tuple(
+            "on" if on else "off" for on in (arm.use_memory, arm.use_predictive)), name
+        assert (genome == "handcrafted") == (not arm.evolved), name
 
 
 def test_zero_predictive_weights_exit_2_before_ablate_writes(tmp_path, capsys):

@@ -168,6 +168,7 @@ BOUNDS = [
     ("eval.episodes", ">= 1", [0]),
     ("eval.seeds", "distinct", [(701, 701)]),
     ("eval.seeds", ">= 0", [(-1,)]),
+    ("eval.seeds", "nonempty", [()]),
     ("probe.pairs", ">= 1", [0]),
     ("probe.radius", "> 0", [0.0]),
     ("probe.sd", "> 0", [0.0]),

@@ -88,6 +88,22 @@ def test_lipschitz_probe_scales_linearly():
     assert flat == 0.0
 
 
+def test_stock_probe_keeps_pairs():
+    """At the stock m, k, sd and radius every perturbation lies within the radius."""
+    cfg = ExperimentConfig()
+    calls = []
+
+    def fitness_fn(raw):
+        calls.append(raw)
+        return float(raw.sum())
+
+    g = handcrafted_genome(cfg.m, cfg.k, cfg.dt)
+    l_hat = lipschitz_probe(g, fitness_fn, n_pairs=cfg.probe_pairs, radius=cfg.probe_radius,
+                            pert_sd=cfg.probe_sd, seed=cfg.seed)
+    assert np.isfinite(l_hat)
+    assert len(calls) == cfg.probe_pairs + 1
+
+
 def test_lipschitz_probe_radius_guard():
     g = Genome(raw=np.zeros(12), m=2, k=2)
     with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,16 @@ from afferent.harness import (
     evaluate,
     fitness_setup,
     probe_lipschitz,
+    resolve_predictive,
     run_ablation,
     simulate,
     train,
     variant_plan,
 )
-from afferent.policy import PPOConfig, RewardParams
+from afferent.policy import PPOConfig, RewardParams, init_policy, obs_dim
+from afferent.rollout import Runner
 from afferent.storage import read_jsonl, save_genome, validate_rollout_line
+from afferent.util import rng_for
 
 
 def micro_cfg(tmp_path, **kw):
@@ -41,41 +45,57 @@ def micro_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
-def _reward(cfg, arm):
-    """The reward an agent set up under arm's wiring trains on."""
-    return _build_setup(cfg, arm, handcrafted_genome(cfg.m, cfg.k), 60.0, None, None).reward
-
-
 def test_variant_plan_wiring():
     cfg = ExperimentConfig()
-    stock = RewardParams(lambda_cat=2.0, lambda_d=5.0, lambda_mem=25.0)
-    want = {  # arm: (mode, memory, predictive, reward)
-        "full": ("epi", True, True, stock),
-        "no_cat": ("plain", False, False,
-                   RewardParams(lambda_cat=0.0, lambda_d=5.0, lambda_mem=0.0)),
-        "no_evolution": ("epi", True, True, stock),
-        "no_amm": ("base", False, True,
-                   RewardParams(lambda_cat=2.0, lambda_d=5.0, lambda_mem=0.0)),
-        "no_predictive": ("epi", True, False, stock),
+    want = {  # arm: (mode, memory, predictive)
+        "full": ("epi", True, True),
+        "no_cat": ("plain", False, False),
+        "no_evolution": ("epi", True, True),
+        "no_amm": ("base", False, True),
+        "no_predictive": ("epi", True, False),
     }
     assert tuple(want) == ABLATIONS
-    for arm, (mode, memory, predictive, reward) in want.items():
+    for arm, (mode, memory, predictive) in want.items():
         plan = variant_plan(cfg, arm)
         assert (plan.mode, plan.use_memory, plan.use_predictive) == (mode, memory, predictive)
-        assert _reward(cfg, plan) == reward
         armed = ExperimentConfig(ablation=arm)
         assert armed.mode == variant_plan(armed, armed.ablation).mode == mode
-    # zeroing acts on the configured weights, not the stock ones
-    custom = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0,
-                                                  lambda_mem=7.0))
-    assert _reward(custom, variant_plan(custom, "no_amm")) == RewardParams(1.0, 3.0, 0.0)
-    assert _reward(custom, variant_plan(custom, "full")) == custom.reward
     with pytest.raises(ConfigError):
         variant_plan(cfg, "no_everything")
 
 
+# The weights whose signal an arm lacks: zeroing them must change no reward.
+ABSENT_WEIGHTS = {"no_cat": ("lambda_cat", "lambda_mem"), "no_amm": ("lambda_mem",)}
+
+
+@pytest.mark.parametrize("variant", ABLATIONS)
+def test_absent_signals_are_exactly_zero(variant, tmp_path):
+    """A signal an arm lacks is +0.0 at every step, so zeroing its weight is a no-op."""
+    cfg = micro_cfg(tmp_path, reward=RewardParams(lambda_cat=1.5, lambda_d=3.0,
+                                                  lambda_mem=7.0))
+    arm = ARMS[variant]
+    model, disc = resolve_predictive(cfg)
+    genome = handcrafted_genome(cfg.m, cfg.k)
+
+    def collect(reward):
+        setup = replace(_build_setup(cfg, arm, genome, 60.0, model, disc), reward=reward)
+        policy = init_policy(obs_dim(arm.mode, cfg.k, cfg.m), rng_for(0, 0), arm.mode,
+                             cfg.ppo.hidden)
+        return Runner(setup, policy, seed=0).collect(2 * cfg.episode_len)
+
+    assert (_build_setup(cfg, arm, genome, 60.0, None, None).memory is not None) == (
+        arm.mode == "epi")
+    batch = collect(cfg.reward)
+    if arm.mode == "plain":
+        assert not np.any(batch["cats"])
+    if not arm.use_memory:
+        assert not np.any(batch["recalls"])
+    zeroed = collect(replace(cfg.reward, **dict.fromkeys(ABSENT_WEIGHTS.get(variant, ()), 0.0)))
+    assert batch["rewards"].tobytes() == zeroed["rewards"].tobytes()
+
+
 def test_fitness_setup_wires_the_fitness_arm():
-    assert FITNESS_ARM == ("base", False, False, ())
+    assert FITNESS_ARM == ("base", False, True)
     assert FITNESS_ARM not in ARMS.values()
     cfg = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0, lambda_mem=7.0))
     setup = fitness_setup(cfg)(handcrafted_genome(cfg.m, cfg.k))
