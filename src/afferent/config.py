@@ -93,12 +93,7 @@ class ExperimentConfig:
     pred_seed: int = bounded(42, ">= 0", key="predictive.seed")
     # The safe model's design: x (3), action, context (3), bias.
     pred_samples: int = bounded(2000, ">= 8", key="predictive.samples")
-    # DiscrepancyParams declares the bounds of these three.
-    pred_kappa: float = bounded(DiscrepancyParams.kappa, key="predictive.kappa")
-    pred_lambda_env: float = bounded(DiscrepancyParams.lambda_env,
-                                     key="predictive.lambda_env")
-    pred_lambda_pred: float = bounded(DiscrepancyParams.lambda_pred,
-                                      key="predictive.lambda_pred")
+    predictive: DiscrepancyParams = field(default_factory=DiscrepancyParams)
     sim_repeats: int = bounded(5, ">= 1", key="sim.repeats")
     sim_steps: int = bounded(80, ">= 1", key="sim.steps")
     sim_action: float = bounded(0.7, "in [0, 1]", key="sim.action")
@@ -125,12 +120,6 @@ class ExperimentConfig:
         if not self.dt < 50:
             raise ConfigError("dt must be < 50: decoding floors tau at dt/10, and the "
                               "handcrafted genome's tau is 5")
-        try:
-            DiscrepancyParams(w_delta=(), kappa=self.pred_kappa,
-                              lambda_env=self.pred_lambda_env,
-                              lambda_pred=self.pred_lambda_pred)
-        except ValidationError as exc:
-            raise _in_group("predictive", exc) from None
 
 
 def _in_group(group: str, exc: ValidationError) -> ConfigError:

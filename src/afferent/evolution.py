@@ -83,8 +83,7 @@ def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
     candidates so within-generation comparisons use common random numbers.
     """
     n = m * (k + 4)
-    state = init_evolution(n, mean0=np.zeros(n), sigma0=sigma0,
-                           popsize=popsize, seed=seed)
+    state = init_evolution(n, sigma0=sigma0, popsize=popsize, seed=seed)
     best_genome = Genome(raw=state.mean.copy(), m=m, k=k)
     best_fitness = float("-inf")
     history = []
@@ -118,9 +117,8 @@ def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
     return best_genome, history
 
 
-def lipschitz_probe(genome: Genome, fitness_fn, n_pairs: int = 100,
-                    radius: float = 0.1, pert_sd: float = 0.01,
-                    seed: int = 0) -> float:
+def lipschitz_probe(genome: Genome, fitness_fn, *, n_pairs: int, radius: float,
+                    pert_sd: float, seed: int) -> float:
     """Empirical local-smoothness constant of a fitness function at a genome.
 
     Perturbs the raw vector with isotropic Gaussian noise, keeps pairs within

@@ -12,7 +12,7 @@ runs the cells and writes the results.
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -65,12 +65,9 @@ def variant_plan(cfg: ExperimentConfig, variant: str) -> Arm:
 
 
 def resolve_predictive(cfg: ExperimentConfig):
-    """Calibrated safe-state model with config-selected signal weights."""
-    model, disc = calibrate_predictive(cfg.pred_seed, cfg.pred_samples,
-                                       cfg.episode_len)
-    disc = replace(disc, kappa=cfg.pred_kappa, lambda_env=cfg.pred_lambda_env,
-                   lambda_pred=cfg.pred_lambda_pred)
-    return model, disc
+    """Calibrated safe-state model and the config's predictive signal parameters."""
+    model, _ = calibrate_predictive(cfg.pred_seed, cfg.pred_samples, cfg.episode_len)
+    return model, cfg.predictive
 
 
 def _load_checkpoint(load, key: str, path: str):

@@ -9,7 +9,7 @@ be blended with the envelope-based CAT.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class SafeStateModel:
     b: np.ndarray  # length K
     residual_rms: float = 0.0
     ridge: bool = False  # set when the fit fell back to a ridge solve
+    delta0: float = bounded(0.0, ">= 0")  # discrepancy where pred_signal reads 0.5
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -42,6 +43,7 @@ class SafeStateModel:
             raise ValidationError("safe-state model has non-finite coefficients")
         if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
             raise ValidationError("safe-state model shape mismatch")
+        check_bounds(self)
 
     def predict(self, x: np.ndarray, action: float, context: np.ndarray) -> np.ndarray:
         k = len(x)
@@ -54,16 +56,13 @@ class SafeStateModel:
 
 @dataclass
 class DiscrepancyParams:
-    """Weights and calibration for the predictive risk signal."""
+    """Slope of the predictive risk signal and its blend weights with the envelope CAT."""
 
-    w_delta: np.ndarray = bounded(MISSING, ">= 0")
     kappa: float = bounded(10.0, "> 0")
-    delta0: float = bounded(0.0, ">= 0")
     lambda_env: float = bounded(0.7, ">= 0")
     lambda_pred: float = bounded(0.3, ">= 0")
 
     def __post_init__(self):
-        self.w_delta = np.asarray(self.w_delta, dtype=float)
         check_bounds(self)
         if not self.lambda_env + self.lambda_pred > 0:
             raise ValidationError("lambda_env + lambda_pred must be > 0")
@@ -92,17 +91,17 @@ def fit_safe_model(design: np.ndarray, targets: np.ndarray) -> SafeStateModel:
     return SafeStateModel(A=A, b=b, residual_rms=rms, ridge=ridge)
 
 
-def discrepancy(x_next: np.ndarray, x_hat: np.ndarray, p: DiscrepancyParams) -> float:
-    """Weighted Euclidean distance ||diag(w_delta)(x_next - x_hat)||."""
-    if x_next.shape != x_hat.shape or x_next.shape != p.w_delta.shape:
+def discrepancy(x_next: np.ndarray, x_hat: np.ndarray) -> float:
+    """Euclidean distance ||x_next - x_hat||."""
+    if x_next.shape != x_hat.shape:
         raise ValidationError("discrepancy length mismatch")
-    v = p.w_delta * (x_next - x_hat)
+    v = x_next - x_hat
     return math.sqrt(v @ v)  # np.linalg.norm's form for a vector
 
 
-def pred_signal(delta: float, p: DiscrepancyParams) -> float:
+def pred_signal(delta: float, delta0: float, p: DiscrepancyParams) -> float:
     """Logistic risk signal sigma(kappa * (delta - delta0))."""
-    return sigmoid(p.kappa * (delta - p.delta0))
+    return sigmoid(p.kappa * (delta - delta0))
 
 
 def combine_cat(c_env: float, c_pred: float, p: DiscrepancyParams) -> float:

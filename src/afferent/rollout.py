@@ -11,7 +11,7 @@ record outlives its step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -125,8 +125,9 @@ class Runner:
                 else:
                     px, pa, pt = self.prev
                     x_hat = s.safe_model.predict(px, pa, gait_context(pt, s.age))
-                    delta = discrepancy(x, x_hat, s.disc)
-                cat = combine_cat(cat, pred_signal(delta, s.disc), s.disc)
+                    delta = discrepancy(x, x_hat)
+                cat = combine_cat(cat, pred_signal(delta, s.safe_model.delta0, s.disc),
+                                  s.disc)
         y_hat = d_mean = 0.0
         if s.memory is not None:
             self.window.push(x, self.acts, cat)
@@ -230,14 +231,14 @@ def evaluate_policy(setup: AgentSetup, policy: PolicyParams, eval_seeds,
 
 def calibrate_predictive(seed: int, n_samples: int = 2000,
                          episode_len: int = twin.EPISODE_LEN):
-    """Fit the safe-state model and calibrate delta0 on healthy rollouts.
+    """Fit the safe-state model and calibrate its delta0 on healthy rollouts.
 
     Healthy regime: normal scenario at age 20 under uniform random actions.
     Each transition is written once: row i of the design matrix holds
     [x_t, a_t, s_t, 1] and row i of the target matrix holds x_next.  delta0
     is the 95th percentile of the fit's own discrepancies over those rows,
     so the predictive signal crosses 0.5 only for residuals unusual even
-    under healthy dynamics.
+    under healthy dynamics.  Returns the model and stock DiscrepancyParams.
     """
     cfg = twin.SCENARIOS["normal"]
     age = 20.0
@@ -255,10 +256,8 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
             i += 1
         ep += 1
     model = fit_safe_model(design, targets)
-    probe = DiscrepancyParams(w_delta=np.ones(3))
     deltas = [
-        discrepancy(x_next, model.predict(row[:3], row[3], row[4:7]), probe)
+        discrepancy(x_next, model.predict(row[:3], row[3], row[4:7]))
         for row, x_next in zip(design, targets)
     ]
-    disc = DiscrepancyParams(w_delta=np.ones(3), delta0=percentile_95(deltas))
-    return model, disc
+    return replace(model, delta0=percentile_95(deltas)), DiscrepancyParams()

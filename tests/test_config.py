@@ -19,7 +19,7 @@ from afferent.env import SCENARIOS, ScenarioConfig
 from afferent.errors import ConfigError, ValidationError
 from afferent.evolution import FitnessSpec
 from afferent.policy import PPOConfig, RewardParams
-from afferent.predictive import DiscrepancyParams
+from afferent.predictive import DiscrepancyParams, SafeStateModel
 
 
 def test_defaults_build_stock_config():
@@ -56,6 +56,13 @@ def test_parse_scalars_and_groups():
     assert cfg.reward.lambda_mem == 0.0
     assert cfg.fitness.eval_seeds == (11, 12)
     assert cfg.memory_eps_d == 1e-3
+
+
+def test_predictive_keys_set_the_predictive_group():
+    cfg = parse_config("predictive.kappa = 4\npredictive.lambda_pred = 0.5")
+    assert cfg.predictive == DiscrepancyParams(kappa=4.0, lambda_pred=0.5)
+    with pytest.raises(ValidationError, match="^kappa must be > 0$"):
+        ExperimentConfig(predictive=DiscrepancyParams(kappa=0.0))
 
 
 def test_parse_errors_cite_line_numbers():
@@ -96,6 +103,8 @@ def test_semantic_validation():
     ("ppo.clip = 0", "ppo.clip must be > 0"),
     ("reward.lambda_d = -1", "reward.lambda_d must be >= 0"),
     ("evolution.top_fraction = 0", "evolution.top_fraction must be in (0, 1]"),
+    ("predictive.lambda_env = 0\npredictive.lambda_pred = 0",
+     "predictive.lambda_env + predictive.lambda_pred must be > 0"),
 ])
 def test_group_errors_name_the_full_key(line, message):
     with pytest.raises(ConfigError) as exc:
@@ -181,14 +190,14 @@ FIELD_BOUNDS = [
     (ScenarioConfig, "shear_mult", "> 0", [0.0]),
     (ScenarioConfig, "instability", "in [0, 1]", [_below(0.0), _above(1.0)]),
     (ScenarioConfig, "noise_sd", ">= 0", [_below(0.0)]),
-    (DiscrepancyParams, "w_delta", ">= 0", [np.array([1.0, _below(0.0), 1.0])]),
-    (DiscrepancyParams, "delta0", ">= 0", [_below(0.0)]),
+    (SafeStateModel, "delta0", ">= 0", [_below(0.0)]),
 ]
 
 GROUPS = {"ppo": PPOConfig, "reward": RewardParams, "evolution": FitnessSpec,
           "predictive": DiscrepancyParams}
 STOCK = {PPOConfig: PPOConfig(), RewardParams: RewardParams(), FitnessSpec: FitnessSpec(),
-         DiscrepancyParams: DiscrepancyParams(w_delta=np.ones(3)),
+         DiscrepancyParams: DiscrepancyParams(),
+         SafeStateModel: SafeStateModel(A=np.eye(3, 7), b=np.zeros(3)),
          ScenarioConfig: SCENARIOS["normal"]}
 
 
@@ -198,8 +207,6 @@ def _with_nan(bound, values, stock):
         return values
     if isinstance(stock, float):
         return [*values, math.nan]
-    if isinstance(stock, np.ndarray):
-        return [*values, np.array([math.nan, 1.0, 1.0])]
     if isinstance(stock, tuple) and isinstance(stock[0], float):
         return [*values, (math.nan,)]
     return values
@@ -269,6 +276,8 @@ def _attribute(key: str) -> str:
         return key
     if group == "evolution":
         return f"evo_{name}" if name in ("generations", "popsize", "sigma0") else f"fitness.{name}"
+    if group == "predictive" and name not in ("seed", "samples"):
+        return key
     prefix = {"memory": "memory", "predictive": "pred", "sim": "sim",
               "eval": "eval", "probe": "probe"}[group]
     return f"{prefix}_{name}"

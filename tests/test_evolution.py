@@ -80,11 +80,12 @@ def test_run_evolution_history_and_determinism():
 
 def test_lipschitz_probe_scales_linearly():
     g = Genome(raw=np.zeros(12), m=2, k=2)
-    p1 = lipschitz_probe(g, lambda v: float(v[0]), n_pairs=50, radius=10.0, seed=3)
-    p5 = lipschitz_probe(g, lambda v: 5.0 * float(v[0]), n_pairs=50, radius=10.0, seed=3)
+    probe = dict(n_pairs=50, radius=10.0, pert_sd=0.01, seed=3)
+    p1 = lipschitz_probe(g, lambda v: float(v[0]), **probe)
+    p5 = lipschitz_probe(g, lambda v: 5.0 * float(v[0]), **probe)
     assert 0.0 < p1 <= 1.0 + 1e-12  # |u_0| / ||u|| never exceeds 1
     assert p5 == pytest.approx(5.0 * p1, rel=1e-12)
-    flat = lipschitz_probe(g, lambda v: 4.2, n_pairs=50, radius=10.0, seed=3)
+    flat = lipschitz_probe(g, lambda v: 4.2, **probe)
     assert flat == 0.0
 
 
@@ -107,4 +108,5 @@ def test_stock_probe_keeps_pairs():
 def test_lipschitz_probe_radius_guard():
     g = Genome(raw=np.zeros(12), m=2, k=2)
     with pytest.raises(ValidationError):
-        lipschitz_probe(g, lambda v: float(v[0]), n_pairs=10, radius=1e-12, seed=0)
+        lipschitz_probe(g, lambda v: float(v[0]), n_pairs=10, radius=1e-12,
+                        pert_sd=0.01, seed=0)

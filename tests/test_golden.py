@@ -44,7 +44,7 @@ evolution.eval_seeds = 901
 RECORDED_ON = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
 
 DIGESTS = {
-    "train": "106793d050cfd9932ba9d4ab80bfc8a511d71b281614f7cd6dcec4703e92f087",
+    "train": "b0c26c1fc957a9a7f8a115a74360bf9533228ddbb27ad9c07870204cfeaea3c3",
     "evolve": "c8f2b90977807ee8eb539df4f183f7e33a90a1ac22a5ed4a5d0d6ac000a01975",
     "run_ablation": "b22e01fb06742536d4f9c092adf40a219b8e54e4f7c06af5708e46255d2f8d52",
     "evaluate": "4b946ea3d9f11e02c3f11edd51ca00aaef9348b82c04ffd1e9da60b21a0e7ba4",

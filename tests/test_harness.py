@@ -28,8 +28,9 @@ from afferent.harness import (
     variant_plan,
 )
 from afferent.policy import PPOConfig, RewardParams, init_policy, obs_dim
+from afferent.predictive import DiscrepancyParams
 from afferent.rollout import Runner
-from afferent.storage import read_jsonl, save_genome, validate_rollout_line
+from afferent.storage import load_safe_model, read_jsonl, save_genome, validate_rollout_line
 from afferent.util import rng_for
 
 
@@ -161,6 +162,19 @@ def test_train_then_evaluate(tmp_path):
     metrics = evaluate(micro_cfg(tmp_path, policy=str(ppath)))
     assert set(metrics.mean_action) == {"60"}
     assert (tmp_path / "reports" / "evaluate_normal.json").is_file()
+
+
+def test_train_checkpoint_holds_the_resolved_predictive_layer(tmp_path):
+    cfg = micro_cfg(tmp_path, predictive=DiscrepancyParams(kappa=4.0))
+    train(cfg)
+    model, disc = load_safe_model(tmp_path / "genomes" / "safe_model.bin")
+    want_model, want_disc = resolve_predictive(cfg)
+    for name in ("A", "b"):
+        got, want = getattr(model, name), getattr(want_model, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    scalars = ("residual_rms", "ridge", "delta0")
+    assert [getattr(model, f) for f in scalars] == [getattr(want_model, f) for f in scalars]
+    assert disc == want_disc == cfg.predictive != DiscrepancyParams()
 
 
 @pytest.mark.parametrize("arm", ["no_cat", "no_amm"])

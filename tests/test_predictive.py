@@ -67,21 +67,19 @@ def test_predict_shapes():
         SafeStateModel(A=np.eye(3), b=np.zeros(2))
 
 
-def test_discrepancy_weighted_norm():
-    p = DiscrepancyParams(w_delta=np.array([1.0, 2.0, 0.0]))
-    d = discrepancy(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 9.0]), p)
-    assert d == pytest.approx(np.sqrt(1.0 + 1.0), abs=1e-12)
+def test_discrepancy_plain_norm():
+    d = discrepancy(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 3.0]))
+    assert d == np.linalg.norm([1.0, 0.5, -2.0])
     with pytest.raises(ValidationError):
-        discrepancy(np.zeros(2), np.zeros(3), p)
+        discrepancy(np.zeros(2), np.zeros(3))
 
 
 def test_discrepancy_equals_linalg_norm_bits():
     rng = rng_for(9)
     for _ in range(2000):
-        p = DiscrepancyParams(w_delta=rng.uniform(0.0, 2.0, 3))
         x_next, x_hat = rng.normal(size=3), rng.normal(size=3) * 10.0 ** rng.integers(-9, 3)
-        want = float(np.linalg.norm(p.w_delta * (x_next - x_hat)))
-        assert discrepancy(x_next, x_hat, p) == want
+        want = float(np.linalg.norm(x_next - x_hat))
+        assert discrepancy(x_next, x_hat) == want
 
 
 def test_predict_equals_stacked_input_bits():
@@ -97,29 +95,27 @@ def test_predict_equals_stacked_input_bits():
 
 def test_params_validation():
     with pytest.raises(ValidationError):
-        DiscrepancyParams(w_delta=np.array([-1.0, 1.0]))
+        DiscrepancyParams(kappa=0.0)
     with pytest.raises(ValidationError):
-        DiscrepancyParams(w_delta=np.ones(3), kappa=0.0)
+        SafeStateModel(A=np.eye(3, 4), b=np.zeros(3), delta0=-0.1)
     with pytest.raises(ValidationError):
-        DiscrepancyParams(w_delta=np.ones(3), delta0=-0.1)
-    with pytest.raises(ValidationError):
-        DiscrepancyParams(w_delta=np.ones(3), lambda_env=-0.2)
+        DiscrepancyParams(lambda_env=-0.2)
     with pytest.raises(ValidationError, match="lambda_env \\+ lambda_pred"):
-        DiscrepancyParams(w_delta=np.ones(3), lambda_env=0.0, lambda_pred=0.0)
+        DiscrepancyParams(lambda_env=0.0, lambda_pred=0.0)
 
 
 def test_pred_signal_logistic():
-    p = DiscrepancyParams(w_delta=np.ones(3), kappa=10.0, delta0=0.2)
-    assert pred_signal(0.2, p) == 0.5
-    assert pred_signal(0.3, p) == pytest.approx(sigmoid(1.0), abs=1e-12)
-    assert pred_signal(0.0, p) == pytest.approx(sigmoid(-2.0), abs=1e-12)
-    assert 0.0 <= pred_signal(100.0, p) <= 1.0
+    p = DiscrepancyParams(kappa=10.0)
+    assert pred_signal(0.2, 0.2, p) == 0.5
+    assert pred_signal(0.3, 0.2, p) == pytest.approx(sigmoid(1.0), abs=1e-12)
+    assert pred_signal(0.0, 0.2, p) == pytest.approx(sigmoid(-2.0), abs=1e-12)
+    assert 0.0 <= pred_signal(100.0, 0.2, p) <= 1.0
 
 
 def test_combine_cat_convex():
-    p = DiscrepancyParams(w_delta=np.ones(3), lambda_env=0.7, lambda_pred=0.3)
+    p = DiscrepancyParams(lambda_env=0.7, lambda_pred=0.3)
     assert combine_cat(1.0, 0.0, p) == pytest.approx(0.7)
     assert combine_cat(0.0, 1.0, p) == pytest.approx(0.3)
     assert combine_cat(0.4, 0.4, p) == pytest.approx(0.4)
-    uneven = DiscrepancyParams(w_delta=np.ones(3), lambda_env=2.0, lambda_pred=2.0)
+    uneven = DiscrepancyParams(lambda_env=2.0, lambda_pred=2.0)
     assert combine_cat(1.0, 0.0, uneven) == pytest.approx(0.5)

@@ -11,6 +11,7 @@ from afferent.afferents import decode_genome, handcrafted_genome
 from afferent.env import SCENARIOS
 from afferent.memory import MemoryStore, maybe_capture
 from afferent.policy import PPOConfig, init_policy, obs_dim, sample_action_z, shaped_reward
+from afferent.predictive import DiscrepancyParams
 from afferent.rollout import (
     AgentSetup,
     Runner,
@@ -299,11 +300,10 @@ def test_frozen_evaluation_starts_with_a_clean_window():
 
 def test_calibrate_predictive_frozen_seed():
     model, disc = calibrate_predictive(42)
-    assert disc.delta0 == pytest.approx(0.13366511944281517, abs=1e-12)
+    assert model.delta0 == pytest.approx(0.13366511944281517, abs=1e-12)
     assert model.residual_rms == pytest.approx(0.045579041130796104, abs=1e-12)
     assert model.A.shape == (3, 7)
-    assert disc.kappa == 10.0
-    assert np.array_equal(disc.w_delta, np.ones(3))
+    assert disc == DiscrepancyParams()
 
 
 def test_calibrate_predictive_holds_its_samples_in_place(monkeypatch):

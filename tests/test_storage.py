@@ -133,16 +133,14 @@ def test_load_policy_rejects_mismatched_parts(tmp_path):
 
 def test_safe_model_round_trip(tmp_path):
     model = SafeStateModel(A=rng_for(5).normal(size=(3, 7)), b=np.array([0.1, 0.2, 0.3]),
-                           residual_rms=0.04, ridge=True)
-    disc = DiscrepancyParams(w_delta=np.array([1.0, 0.5, 2.0]), kappa=8.0,
-                             delta0=0.11, lambda_env=0.6, lambda_pred=0.4)
+                           residual_rms=0.04, ridge=True, delta0=0.11)
+    disc = DiscrepancyParams(kappa=8.0, lambda_env=0.6, lambda_pred=0.4)
     path = tmp_path / "m.bin"
     save_safe_model(path, model, disc)
     m2, d2 = load_safe_model(path)
     assert np.array_equal(m2.A, model.A) and np.array_equal(m2.b, model.b)
-    assert m2.residual_rms == model.residual_rms and m2.ridge is True
-    assert np.array_equal(d2.w_delta, disc.w_delta)
-    assert (d2.kappa, d2.delta0, d2.lambda_env, d2.lambda_pred) == (8.0, 0.11, 0.6, 0.4)
+    assert (m2.residual_rms, m2.ridge, m2.delta0) == (0.04, True, 0.11)
+    assert d2 == disc
 
 
 def test_bin_files_keep_requested_name(tmp_path):
@@ -166,18 +164,15 @@ def _genome_arrays(genome, meta):
 def _safe_model_arrays(model, disc):
     return dict(A=np.asarray(model.A, dtype=float), b=np.asarray(model.b, dtype=float),
                 residual_rms=np.array(model.residual_rms), ridge=np.array(model.ridge),
-                w_delta=np.asarray(disc.w_delta, dtype=float), kappa=np.array(disc.kappa),
-                delta0=np.array(disc.delta0), lambda_env=np.array(disc.lambda_env),
-                lambda_pred=np.array(disc.lambda_pred))
+                delta0=np.array(model.delta0), kappa=np.array(disc.kappa),
+                lambda_env=np.array(disc.lambda_env), lambda_pred=np.array(disc.lambda_pred))
 
 
 def _safe_model():
     # A holds transposed least-squares coefficients, so it is Fortran-ordered.
     model = SafeStateModel(A=rng_for(5).normal(size=(7, 3)).T, b=np.array([0.1, 0.2, 0.3]),
-                           residual_rms=0.04, ridge=True)
-    disc = DiscrepancyParams(w_delta=np.array([1.0, 0.5, 2.0]), kappa=8.0,
-                             delta0=0.11, lambda_env=0.6, lambda_pred=0.4)
-    return model, disc
+                           residual_rms=0.04, ridge=True, delta0=0.11)
+    return model, DiscrepancyParams(kappa=8.0, lambda_env=0.6, lambda_pred=0.4)
 
 
 def test_checkpoint_bytes_equal_spelled_out_layout(tmp_path):
@@ -200,8 +195,8 @@ def test_checkpoint_member_names_and_order(tmp_path):
     save_policy(tmp_path / "p.bin", init_policy(5, rng_for(3), mode="epi", hidden=(8, 4)))
     want = {
         "g.bin": ["raw", "m", "k", "meta"],
-        "m.bin": ["A", "b", "residual_rms", "ridge", "w_delta", "kappa", "delta0",
-                  "lambda_env", "lambda_pred"],
+        "m.bin": ["A", "b", "residual_rms", "ridge", "delta0", "kappa", "lambda_env",
+                  "lambda_pred"],
         "p.bin": ["actor_sizes", "actor_params", "critic_sizes", "critic_params",
                   "log_std", "mode", "obs_dim"],
     }
@@ -221,9 +216,8 @@ def test_spelled_out_layout_loads_with_python_scalars(tmp_path):
     _write_npz(tmp_path / "m.bin", **_safe_model_arrays(model, disc))
     m2, d2 = load_safe_model(tmp_path / "m.bin")
     assert np.array_equal(m2.A, model.A) and np.array_equal(m2.b, model.b)
-    assert np.array_equal(d2.w_delta, disc.w_delta)
-    scalars = (m2.residual_rms, m2.ridge, d2.kappa, d2.delta0, d2.lambda_env, d2.lambda_pred)
-    assert scalars == (0.04, True, 8.0, 0.11, 0.6, 0.4)
+    scalars = (m2.residual_rms, m2.ridge, m2.delta0, d2.kappa, d2.lambda_env, d2.lambda_pred)
+    assert scalars == (0.04, True, 0.11, 8.0, 0.6, 0.4)
     assert [type(v) for v in scalars] == [float, bool, float, float, float, float]
     policy = init_policy(5, rng_for(3), mode="epi", hidden=(8, 4))
     save_policy(tmp_path / "p.bin", policy)
