@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .afferents import Genome
+from .afferents import BLOCK_EXTRA, Genome
 from .cmaes import ask, init_evolution, tell
 from .errors import TrainingError, ValidationError, bounded, check_bounds
 from .metrics import pool
@@ -82,7 +82,7 @@ def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
     best/mean/std fitness).  RL seeds are shared across a generation's
     candidates so within-generation comparisons use common random numbers.
     """
-    n = m * (k + 4)
+    n = m * (k + BLOCK_EXTRA)
     state = init_evolution(n, sigma0=sigma0, popsize=popsize, seed=seed)
     best_genome = Genome(raw=state.mean.copy(), m=m, k=k)
     best_fitness = float("-inf")

@@ -65,9 +65,8 @@ def variant_plan(cfg: ExperimentConfig, variant: str) -> Arm:
 
 
 def resolve_predictive(cfg: ExperimentConfig):
-    """Calibrated safe-state model and the config's predictive signal parameters."""
-    model, _ = calibrate_predictive(cfg.pred_seed, cfg.pred_samples, cfg.episode_len)
-    return model, cfg.predictive
+    """The safe-state model calibrated under the config's predictive.* keys."""
+    return calibrate_predictive(cfg.pred_seed, cfg.pred_samples, cfg.episode_len)
 
 
 def _load_checkpoint(load, key: str, path: str):
@@ -77,7 +76,8 @@ def _load_checkpoint(load, key: str, path: str):
         raise ConfigError(f"{key} file not found: {path}")
     try:
         return load(path)
-    except (ValueError, EOFError, LookupError, TypeError, BadZipFile, ValidationError) as exc:
+    except (ValueError, EOFError, LookupError, TypeError, BadZipFile, ValidationError,
+            ConfigError) as exc:
         raise ConfigError(f"{key} file {path} is not a {key} checkpoint: {exc}") from exc
 
 
@@ -86,15 +86,15 @@ def _resolve_genome(cfg: ExperimentConfig) -> Genome:
         genome, _ = _load_checkpoint(load_genome, "genome", cfg.genome)
         if genome.m != cfg.m or genome.k != cfg.k:
             raise ConfigError(
-                f"genome shape ({genome.m}, {genome.k}) does not match config "
-                f"({cfg.m}, {cfg.k})")
+                f"genome file {cfg.genome} shape ({genome.m}, {genome.k}) does not "
+                f"match config ({cfg.m}, {cfg.k})")
         return genome
     return handcrafted_genome(cfg.m, cfg.k, cfg.dt)
 
 
 def fitness_setup(cfg: ExperimentConfig):
     """The genome -> AgentSetup builder evolution scores candidates under."""
-    return lambda genome: _build_setup(cfg, FITNESS_ARM, genome, cfg.ages[0], None, None)
+    return lambda genome: _build_setup(cfg, FITNESS_ARM, genome, cfg.ages[0], None)
 
 
 def evolve_genome(cfg: ExperimentConfig):
@@ -106,16 +106,17 @@ def evolve_genome(cfg: ExperimentConfig):
 
 
 def _build_setup(cfg: ExperimentConfig, arm: Arm, genome: Genome,
-                 age: float, model, disc) -> AgentSetup:
-    """One agent under arm's wiring, trained on cfg.reward."""
+                 age: float, model) -> AgentSetup:
+    """The one place an arm becomes an agent, trained on cfg.reward."""
+    if not arm.evolved:
+        genome = handcrafted_genome(cfg.m, cfg.k, cfg.dt)
     array = decode_genome(genome, cfg.dt)
     memory = (MemoryStore(cfg.memory_capacity, cfg.memory_k_ret, cfg.memory_eps_d,
                           cfg.memory_kappa_cat) if arm.use_memory else None)
     return AgentSetup(
         scenario=twin.SCENARIOS[cfg.scenario], age=float(age), array=array,
         reward=cfg.reward, mode=arm.mode, memory=memory,
-        safe_model=model if arm.use_predictive else None,
-        disc=disc if arm.use_predictive else None,
+        safe_model=model if arm.use_predictive else None, disc=cfg.predictive,
         episode_len=cfg.episode_len,
     )
 
@@ -126,8 +127,8 @@ def _episode_rows(episodes) -> list:
 
 def _train_eval_cell(args):
     """One (variant, age, seed) cell: train a policy, evaluate it, summarize."""
-    cfg, variant, age, seed, genome, model, disc = args
-    setup = _build_setup(cfg, variant_plan(cfg, variant), genome, age, model, disc)
+    cfg, variant, age, seed, genome, model = args
+    setup = _build_setup(cfg, variant_plan(cfg, variant), genome, age, model)
     try:
         result = rl_train(setup, cfg.ppo, int(seed))
     except TrainingError as exc:
@@ -144,12 +145,9 @@ def _train_eval_cell(args):
 
 
 def _arm_inputs(cfg: ExperimentConfig):
-    """Arm, genome and safe model (None, None without one) of cfg.ablation."""
+    """Arm, configured genome and safe model (None without the layer) of cfg.ablation."""
     arm = variant_plan(cfg, cfg.ablation)
-    genome = (_resolve_genome(cfg) if arm.evolved
-              else handcrafted_genome(cfg.m, cfg.k, cfg.dt))
-    model, disc = resolve_predictive(cfg) if arm.use_predictive else (None, None)
-    return arm, genome, model, disc
+    return arm, _resolve_genome(cfg), resolve_predictive(cfg) if arm.use_predictive else None
 
 
 def _ablation_cell(args):
@@ -252,14 +250,14 @@ def train(cfg: ExperimentConfig) -> dict:
     """Train one policy (cfg.seed) under the cfg.ablation wiring and evaluate."""
     out = Path(cfg.out)
     age = float(cfg.ages[0])
-    _, genome, model, disc = _arm_inputs(cfg)
-    cell = _train_eval_cell((cfg, cfg.ablation, age, cfg.seed, genome, model, disc))
+    _, genome, model = _arm_inputs(cfg)
+    cell = _train_eval_cell((cfg, cfg.ablation, age, cfg.seed, genome, model))
     if "failure" in cell:
         _fail(out, [cell["failure"]])
     tag = f"{cfg.scenario}_age{age_key(age)}_seed{cfg.seed}"
     save_policy(out / "genomes" / f"policy_{tag}.bin", cell["policy"])
     if model is not None:
-        save_safe_model(out / "genomes" / "safe_model.bin", model, disc)
+        save_safe_model(out / "genomes" / "safe_model.bin", model, cfg.predictive)
     columns = ["step", "mean_reward", "mean_cat", "mean_delta_d", "clip_fraction", "loss"]
     write_csv(out / "curves" / f"train_{tag}.csv", columns,
               [[h[c] for c in columns] for h in cell["history"]])
@@ -297,7 +295,7 @@ def evolve(cfg: ExperimentConfig) -> dict:
         "seed": int(cfg.seed),
         "generations": int(cfg.evo_generations),
         "popsize": int(cfg.evo_popsize),
-        "n_params": int(cfg.m * (cfg.k + 4)),
+        "n_params": int(best.raw.size),
         "best_fitness": best_fitness,
         "history": history,
         "genome_file": f"genomes/evolved_{tag}.bin",
@@ -312,7 +310,7 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     if not cfg.policy:
         raise ConfigError("evaluate requires policy = <path to .bin checkpoint>")
     policy = _load_checkpoint(load_policy, "policy", cfg.policy)
-    arm, genome, model, disc = _arm_inputs(cfg)
+    arm, genome, model = _arm_inputs(cfg)
     if policy.mode != arm.mode:
         raise ConfigError(
             f"policy was trained in mode {policy.mode!r}; config wires {arm.mode!r}")
@@ -320,7 +318,7 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
         raise ConfigError("policy observation size does not match m/k in config")
     logs = []
     for age in cfg.ages:
-        setup = _build_setup(cfg, arm, genome, age, model, disc)
+        setup = _build_setup(cfg, arm, genome, age, model)
         episodes = evaluate_policy(setup, policy, cfg.eval_seeds, cfg.eval_episodes)
         logs.append(pool(episodes, variant=cfg.ablation, age=float(age), seed=int(cfg.seed)))
         write_jsonl(
@@ -336,8 +334,9 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
 def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     """Train and evaluate every ablation arm across cfg.ages x cfg.seeds.
 
-    The evolved arms share one genome: the configured file if given,
-    otherwise the best genome from a fresh outer-loop run.  Returns
+    Every arm is given one genome (the unevolved arm senses through the
+    handcrafted one instead): the configured file if given, otherwise the
+    best genome from a fresh outer-loop run.  Returns
     {variant: MetricsReport}.  reports/ablation.json holds these reports
     under "variants", metrics.compare_arms' full-vs-arm Welch tests under
     "welch", and their count as "bonferroni_multiplier".
@@ -350,16 +349,10 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
             genome, _ = evolve_genome(cfg)
             save_genome(out / "genomes" / f"ablation_{cfg.scenario}_seed{cfg.seed}.bin",
                         genome, meta={"role": "shared evolved genome"})
-    baseline = handcrafted_genome(cfg.m, cfg.k, cfg.dt)
-    model, disc = resolve_predictive(cfg)
+    model = resolve_predictive(cfg)
 
-    cells = [
-        (cfg, variant, float(age), int(seed),
-         genome if ARMS[variant].evolved else baseline, model, disc)
-        for variant in ABLATIONS
-        for age in cfg.ages
-        for seed in cfg.seeds
-    ]
+    cells = [(cfg, variant, float(age), int(seed), genome, model)
+             for variant in ABLATIONS for age in cfg.ages for seed in cfg.seeds]
     results = _parallel_map(_ablation_cell, cells, cfg.jobs)
 
     failures, logs = [], []  # logs in grid order: variant, then age, then seed

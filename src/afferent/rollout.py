@@ -69,9 +69,9 @@ class AgentSetup:
     array: AfferentArray
     reward: RewardParams = field(default_factory=RewardParams)
     mode: str = "base"
-    memory: MemoryStore | None = None
-    safe_model: SafeStateModel | None = None
-    disc: DiscrepancyParams | None = None
+    memory: MemoryStore | None = None  # a store turns recall on
+    safe_model: SafeStateModel | None = None  # a safe model turns the predictive layer on
+    disc: DiscrepancyParams = field(default_factory=DiscrepancyParams)
     episode_len: int = twin.EPISODE_LEN
 
 
@@ -119,7 +119,7 @@ class Runner:
         cat = 0.0
         if s.mode != "plain":  # plain senses nothing; its activations stay zero
             cat, self.acts = compute_cat(s.array, self.acts, x)
-            if s.safe_model is not None and s.disc is not None:
+            if s.safe_model is not None:
                 if self.prev is None:
                     delta = 0.0
                 else:
@@ -131,9 +131,8 @@ class Runner:
         y_hat = d_mean = 0.0
         if s.memory is not None:
             self.window.push(x, self.acts, cat)
-            if s.mode == "epi":
-                rr = s.memory.query(self.window)
-                y_hat, d_mean = rr.y_hat, rr.d_mean
+            rr = s.memory.query(self.window)
+            y_hat, d_mean = rr.y_hat, rr.d_mean
         self.cur = (cat, y_hat)
         self.obs = build_observation(x, self.acts, cat, y_hat, d_mean, s.mode)
 
@@ -213,7 +212,7 @@ def evaluate_policy(setup: AgentSetup, policy: PolicyParams, eval_seeds,
                     eval_episodes: int) -> list:
     """Run eval_episodes per seed with memory captures frozen; one RunLog per episode."""
     with_cat = setup.mode != "plain"
-    with_recall = setup.mode == "epi" and setup.memory is not None
+    with_recall = setup.memory is not None
     episodes = []
     for s in eval_seeds:
         runner = Runner(setup, policy, seed=int(s), capture=False)
@@ -238,7 +237,7 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
     [x_t, a_t, s_t, 1] and row i of the target matrix holds x_next.  delta0
     is the 95th percentile of the fit's own discrepancies over those rows,
     so the predictive signal crosses 0.5 only for residuals unusual even
-    under healthy dynamics.  Returns the model and stock DiscrepancyParams.
+    under healthy dynamics.
     """
     cfg = twin.SCENARIOS["normal"]
     age = 20.0
@@ -260,4 +259,4 @@ def calibrate_predictive(seed: int, n_samples: int = 2000,
         discrepancy(x_next, model.predict(row[:3], row[3], row[4:7]))
         for row, x_next in zip(design, targets)
     ]
-    return replace(model, delta0=percentile_95(deltas)), DiscrepancyParams()
+    return replace(model, delta0=percentile_95(deltas))

@@ -282,13 +282,13 @@ def test_evolution_trend_across_seeds():
     assert time.perf_counter() - start < 1800.0
 
 
-def _train_full_stack(age: float, seed: int, model, disc):
+def _train_full_stack(age: float, seed: int, model):
     """Train the full sensing stack at one age; returns pooled eval stats."""
     array = decode_genome(handcrafted_genome(8, 3), dt=1.0)
     setup = AgentSetup(
         scenario=SCENARIOS["normal"], age=age, array=array,
         reward=RewardParams(), mode="epi", memory=MemoryStore(),
-        safe_model=model, disc=disc,
+        safe_model=model,
     )
     result = rl_train(setup, PPOConfig(total_steps=20_000), seed)
     stats = evaluate_policy(setup, result.policy, (701, 702, 703), 2)
@@ -299,9 +299,9 @@ def _train_full_stack(age: float, seed: int, model, disc):
 @pytest.mark.criterion("07 older agents work less and safer")
 def test_age_restricts_learned_behavior():
     start = time.perf_counter()
-    model, disc = calibrate_predictive(42)
-    young = [_train_full_stack(20.0, s, model, disc) for s in range(5)]
-    old = [_train_full_stack(80.0, s, model, disc) for s in range(5)]
+    model = calibrate_predictive(42)
+    young = [_train_full_stack(20.0, s, model) for s in range(5)]
+    old = [_train_full_stack(80.0, s, model) for s in range(5)]
     act_young = float(np.mean([a for a, _ in young]))
     act_old = float(np.mean([a for a, _ in old]))
     safe_young = float(np.mean([f for _, f in young]))

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import re
 import shlex
@@ -123,6 +124,8 @@ SAVE = {"genome": lambda path: save_genome(path, handcrafted_genome(8, 3)),
         "policy": lambda path: save_policy(path, init_policy(11, rng_for(0, 0), "base", (8,)))}
 # The member raw_member stores as bytes without the .npy header.
 RAW_MEMBER = {"genome": ("m.npy", b"8"), "policy": ("mode.npy", b"base")}
+# The member inconsistent stores one element short of the checkpoint's own sizes.
+SHORT_MEMBER = {"genome": "raw", "policy": "actor_params"}
 
 
 def _replace_member(path, name, data):
@@ -134,8 +137,8 @@ def _replace_member(path, name, data):
             zf.writestr(member, content)
 
 
-@pytest.mark.parametrize("content",
-                         ["text", "empty", "npy", "truncated", "other_kind", "raw_member"])
+@pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other_kind",
+                                     "raw_member", "inconsistent"])
 @pytest.mark.parametrize("key, command", [("genome", "train"), ("policy", "evaluate")])
 def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_path, capsys):
     path = tmp_path / "bad.bin"
@@ -153,6 +156,13 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
     elif content == "raw_member":  # a checkpoint with one member not written by np.save
         SAVE[key](path)
         _replace_member(path, *RAW_MEMBER[key])
+    elif content == "inconsistent":
+        SAVE[key](path)
+        with np.load(path) as data:
+            short = data[SHORT_MEMBER[key]][:-1]
+        npy = io.BytesIO()
+        np.save(npy, short)
+        _replace_member(path, f"{SHORT_MEMBER[key]}.npy", npy.getvalue())
     else:  # a checkpoint of the other kind
         SAVE["policy" if key == "genome" else "genome"](path)
     cfg = tmp_path / "bad.cfg"
@@ -161,9 +171,23 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
-    if content not in ("other_kind", "raw_member"):  # those two are zip archives
+    if content not in ("other_kind", "raw_member", "inconsistent"):  # the zip archives
         assert "not an NPZ archive" in err
+    if (key, content) == ("genome", "inconsistent"):
+        assert "genome length 55 does not match m*(k+4)=56" in err
     assert "allow_pickle" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_genome_exits_2_under_no_evolution(tmp_path, capsys):
+    """The configured genome is resolved under every arm, even the one that ignores it."""
+    missing = tmp_path / "nope.bin"
+    path = tmp_path / "c.cfg"
+    path.write_text(MICRO + f"genome = {missing}\n")
+    rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o"),
+               "--ablation", "no_evolution"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: genome file not found: {missing}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -374,3 +398,13 @@ def test_zero_predictive_weights_exit_2_before_ablate_writes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "predictive.lambda_env" in err and "predictive.lambda_pred" in err
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text()
+    layout = text[text.index("## Layout"):]
+    layout = layout[:layout.index("\n## ", 1)]
+    listed = re.findall(r"^  (\w+\.py) ", layout, re.M)
+    package = README.parent / "src" / "afferent"
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py")
+                                    if not p.name.startswith("_"))

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afferent.afferents import handcrafted_genome
+from afferent.afferents import Genome, decode_genome, handcrafted_genome
 from afferent import harness
 from afferent.config import ABLATIONS, ARMS, FITNESS_ARM, ExperimentConfig
 from afferent.errors import ConfigError, TrainingError
@@ -71,21 +71,35 @@ ABSENT_WEIGHTS = {"no_cat": ("lambda_cat", "lambda_mem"), "no_amm": ("lambda_mem
 
 @pytest.mark.parametrize("variant", ABLATIONS)
 def test_absent_signals_are_exactly_zero(variant, tmp_path):
-    """A signal an arm lacks is +0.0 at every step, so zeroing its weight is a no-op."""
+    """Each setup is wired as its arm says, and a signal an arm lacks is +0.0
+    at every step, so zeroing its weight is a no-op."""
     cfg = micro_cfg(tmp_path, reward=RewardParams(lambda_cat=1.5, lambda_d=3.0,
-                                                  lambda_mem=7.0))
+                                                  lambda_mem=7.0),
+                    predictive=DiscrepancyParams(kappa=4.0))
     arm = ARMS[variant]
-    model, disc = resolve_predictive(cfg)
-    genome = handcrafted_genome(cfg.m, cfg.k)
+    model = resolve_predictive(cfg)
+    handcrafted = handcrafted_genome(cfg.m, cfg.k, cfg.dt)
+    # perturbed as bench/workloads.py's _write_genome perturbs it
+    raw = handcrafted.raw + np.random.default_rng([0, 77]).normal(
+        0.0, 0.05, size=handcrafted.raw.shape)
+    genome = Genome(raw=raw, m=cfg.m, k=cfg.k)
+
+    setup = _build_setup(cfg, arm, genome, 60.0, model)
+    w_handcrafted, w_given = (decode_genome(g, cfg.dt).W.tobytes()
+                              for g in (handcrafted, genome))
+    assert (setup.array.W.tobytes() == w_handcrafted) == (not arm.evolved)
+    assert (setup.array.W.tobytes() == w_given) == arm.evolved
+    assert (setup.memory is not None) == arm.use_memory == (arm.mode == "epi")
+    assert (setup.safe_model is not None) == arm.use_predictive
+    assert setup.safe_model in (None, model)
+    assert setup.disc == cfg.predictive != DiscrepancyParams()
 
     def collect(reward):
-        setup = replace(_build_setup(cfg, arm, genome, 60.0, model, disc), reward=reward)
+        setup = replace(_build_setup(cfg, arm, genome, 60.0, model), reward=reward)
         policy = init_policy(obs_dim(arm.mode, cfg.k, cfg.m), rng_for(0, 0), arm.mode,
                              cfg.ppo.hidden)
         return Runner(setup, policy, seed=0).collect(2 * cfg.episode_len)
 
-    assert (_build_setup(cfg, arm, genome, 60.0, None, None).memory is not None) == (
-        arm.mode == "epi")
     batch = collect(cfg.reward)
     if arm.mode == "plain":
         assert not np.any(batch["cats"])
@@ -100,7 +114,8 @@ def test_fitness_setup_wires_the_fitness_arm():
     assert FITNESS_ARM not in ARMS.values()
     cfg = ExperimentConfig(reward=RewardParams(lambda_cat=1.0, lambda_d=3.0, lambda_mem=7.0))
     setup = fitness_setup(cfg)(handcrafted_genome(cfg.m, cfg.k))
-    assert (setup.mode, setup.memory, setup.safe_model, setup.disc) == ("base", None, None, None)
+    assert (setup.mode, setup.memory, setup.safe_model) == ("base", None, None)
+    assert setup.disc == cfg.predictive
     assert setup.reward == cfg.reward and setup.age == cfg.ages[0]
 
 
@@ -113,9 +128,11 @@ def test_resolve_genome_paths(tmp_path):
     assert loaded.m == 8 and loaded.k == 3
     with pytest.raises(ConfigError, match="not found"):
         _resolve_genome(micro_cfg(tmp_path, genome=str(tmp_path / "nope.bin")))
-    save_genome(tmp_path / "wrong.bin", handcrafted_genome(4, 3))
-    with pytest.raises(ConfigError, match="does not match"):
-        _resolve_genome(micro_cfg(tmp_path, genome=str(tmp_path / "wrong.bin")))
+    wrong = tmp_path / "wrong.bin"
+    save_genome(wrong, handcrafted_genome(4, 3))
+    with pytest.raises(ConfigError, match="does not match") as exc:
+        _resolve_genome(micro_cfg(tmp_path, genome=str(wrong)))
+    assert f"genome file {wrong} " in str(exc.value)
 
 
 def test_simulate_outputs(tmp_path):
@@ -168,13 +185,13 @@ def test_train_checkpoint_holds_the_resolved_predictive_layer(tmp_path):
     cfg = micro_cfg(tmp_path, predictive=DiscrepancyParams(kappa=4.0))
     train(cfg)
     model, disc = load_safe_model(tmp_path / "genomes" / "safe_model.bin")
-    want_model, want_disc = resolve_predictive(cfg)
+    want_model = resolve_predictive(cfg)
     for name in ("A", "b"):
         got, want = getattr(model, name), getattr(want_model, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     scalars = ("residual_rms", "ridge", "delta0")
     assert [getattr(model, f) for f in scalars] == [getattr(want_model, f) for f in scalars]
-    assert disc == want_disc == cfg.predictive != DiscrepancyParams()
+    assert disc == cfg.predictive != DiscrepancyParams()
 
 
 @pytest.mark.parametrize("arm", ["no_cat", "no_amm"])

@@ -80,13 +80,13 @@ def _reference_collect(runner, n):
 @pytest.mark.parametrize("mode", ["plain", "base", "epi"])
 def test_collect_columns_equal_the_row_loop_bits(mode):
     # epi runs with memory captures and the predictive layer, over episode ends
-    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    model = calibrate_predictive(42, n_samples=400, episode_len=50)
     policy = make_policy(mode=mode)
     got, want = [], []
     for out, collect in ((got, Runner.collect), (want, _reference_collect)):
         setup = make_setup(mode=mode, episode_len=20)
         if mode == "epi":
-            setup = replace(setup, memory=MemoryStore(eps_d=0.0), safe_model=model, disc=disc)
+            setup = replace(setup, memory=MemoryStore(eps_d=0.0), safe_model=model)
         runner = Runner(setup, policy, seed=5)
         out.extend(collect(runner, n) for n in (47, 1, 30))
     for g, w in zip(got, want, strict=True):
@@ -102,11 +102,11 @@ def test_collect_columns_equal_the_row_loop_bits(mode):
 def test_collect_holds_little_beyond_its_columns(mode):
     # a 1024-step rollout at the default array size; epi with a store and the
     # predictive layer.  The first collect fills the store's buffers.
-    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    model = calibrate_predictive(42, n_samples=400, episode_len=50)
     array = decode_genome(handcrafted_genome(64, 3), dt=1.0)
     setup = AgentSetup(scenario=SCENARIOS["normal"], age=60.0, array=array, mode=mode)
     if mode == "epi":
-        setup = replace(setup, memory=MemoryStore(), safe_model=model, disc=disc)
+        setup = replace(setup, memory=MemoryStore(), safe_model=model)
     policy = init_policy(obs_dim(mode, 3, 64), rng_for(0, 0), mode, hidden=(64, 64))
     runner = Runner(setup, policy, seed=1)
     runner.collect(1024)
@@ -253,10 +253,10 @@ def test_frozen_runners_share_a_setup_read_only():
     # two frozen streams stepped alternately on one setup each give the rows
     # they give alone, and evaluation leaves the shared store and array as
     # training left them, open captures and all
-    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    model = calibrate_predictive(42, n_samples=400, episode_len=50)
     memory = MemoryStore(eps_d=0.0)
     setup = replace(make_setup(mode="epi", memory=memory, episode_len=20),
-                    safe_model=model, disc=disc)
+                    safe_model=model)
     policy = make_policy(mode="epi")
     trainer = Runner(setup, policy, seed=1)
     trainer.collect(50)  # ends mid-episode
@@ -299,11 +299,10 @@ def test_frozen_evaluation_starts_with_a_clean_window():
 
 
 def test_calibrate_predictive_frozen_seed():
-    model, disc = calibrate_predictive(42)
+    model = calibrate_predictive(42)
     assert model.delta0 == pytest.approx(0.13366511944281517, abs=1e-12)
     assert model.residual_rms == pytest.approx(0.045579041130796104, abs=1e-12)
     assert model.A.shape == (3, 7)
-    assert disc == DiscrepancyParams()
 
 
 def test_calibrate_predictive_holds_its_samples_in_place(monkeypatch):
@@ -321,9 +320,10 @@ def test_calibrate_predictive_holds_its_samples_in_place(monkeypatch):
 
 
 def test_predictive_blend_changes_cat():
-    model, disc = calibrate_predictive(42, n_samples=400, episode_len=50)
+    model = calibrate_predictive(42, n_samples=400, episode_len=50)
     base = make_setup(episode_len=25)
-    wired = replace(make_setup(episode_len=25), safe_model=model, disc=disc)
+    wired = replace(make_setup(episode_len=25), safe_model=model)
+    assert wired.disc == DiscrepancyParams()  # a setup blends under stock parameters by default
     a = Runner(base, make_policy(), seed=2).collect(25)
     b = Runner(wired, make_policy(), seed=2).collect(25)
     assert not np.array_equal(a["cats"], b["cats"])
