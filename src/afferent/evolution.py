@@ -79,7 +79,8 @@ def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
 
     build maps a genome to the AgentSetup it is scored under (see
     evaluate_fitness).  Returns (best genome seen, per-generation history of
-    best/mean/std fitness).  RL seeds are shared across a generation's
+    best/mean/std fitness, the count of candidates that failed training, and
+    the step size sigma the candidates were drawn with).  RL seeds are shared across a generation's
     candidates so within-generation comparisons use common random numbers.
     """
     n = m * (k + BLOCK_EXTRA)
@@ -112,6 +113,8 @@ def run_evolution(spec: FitnessSpec, generations: int, popsize: int, build,
             "best": float(fits.max()),
             "mean": float(finite.mean()) if finite.size else float("-inf"),
             "std": float(finite.std()) if finite.size else 0.0,
+            "failed": int(np.count_nonzero(fits == -np.inf)),
+            "sigma": float(state.sigma),  # the step size the candidates were drawn with
         })
         state = tell(state, candidates, fits)
     return best_genome, history

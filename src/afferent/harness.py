@@ -284,11 +284,9 @@ def evolve(cfg: ExperimentConfig) -> dict:
     save_genome(out / "genomes" / f"evolved_{tag}.bin", best,
                 meta={"generations": cfg.evo_generations,
                       "fitness": best_fitness})
-    write_csv(
-        out / "curves" / f"evolution_{tag}.csv",
-        ["generation", "best", "mean", "std"],
-        [[h["generation"], h["best"], h["mean"], h["std"]] for h in history],
-    )
+    columns = ["generation", "best", "mean", "std", "failed", "sigma"]
+    write_csv(out / "curves" / f"evolution_{tag}.csv", columns,
+              [[h[c] for c in columns] for h in history])
     report = {
         "scenario": cfg.scenario,
         "age": float(cfg.ages[0]),
@@ -331,7 +329,7 @@ def evaluate(cfg: ExperimentConfig) -> MetricsReport:
     return report
 
 
-def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
+def run_ablation(cfg: ExperimentConfig) -> dict:
     """Train and evaluate every ablation arm across cfg.ages x cfg.seeds.
 
     Every arm is given one genome (the unevolved arm senses through the
@@ -342,13 +340,12 @@ def run_ablation(cfg: ExperimentConfig, genome: Genome | None = None) -> dict:
     "welch", and their count as "bonferroni_multiplier".
     """
     out = Path(cfg.out)
-    if genome is None:
-        if cfg.genome:
-            genome = _resolve_genome(cfg)
-        else:
-            genome, _ = evolve_genome(cfg)
-            save_genome(out / "genomes" / f"ablation_{cfg.scenario}_seed{cfg.seed}.bin",
-                        genome, meta={"role": "shared evolved genome"})
+    if cfg.genome:
+        genome = _resolve_genome(cfg)
+    else:
+        genome, _ = evolve_genome(cfg)
+        save_genome(out / "genomes" / f"ablation_{cfg.scenario}_seed{cfg.seed}.bin",
+                    genome, meta={"role": "shared evolved genome"})
     model = resolve_predictive(cfg)
 
     cells = [(cfg, variant, float(age), int(seed), genome, model)

@@ -109,23 +109,32 @@ def shaped_reward(task: float, cat: float, delta_d: float, y_hat: float,
     return task - p.lambda_cat * cat - p.lambda_d * delta_d - p.lambda_mem * y_hat
 
 
+@dataclass(eq=False)
 class PolicyParams:
-    """Actor-critic over theta = [actor | log_std | critic], both nets of ``sizes``."""
+    """Actor-critic over theta = [actor | log_std | critic], both nets of ``sizes``.
 
-    def __init__(self, theta: np.ndarray, sizes, mode: str):
-        n = MLP.count(sizes)
-        self.theta = theta
-        self.mode = mode
-        self.n_params = theta.size
-        self.obs_dim = int(sizes[0])
+    The fields are the checkpoint's members.  A float64 theta is not copied,
+    so the nets are views of the caller's vector.
+    """
+
+    theta: np.ndarray
+    sizes: tuple
+    mode: str
+
+    def __post_init__(self):
+        self.theta = np.asarray(self.theta, dtype=float)
+        self.sizes = tuple(int(s) for s in self.sizes)
+        n = MLP.count(self.sizes)
+        self.n_params = self.theta.size
+        self.obs_dim = self.sizes[0]
         # the critic's length check also rejects a theta of the wrong size
-        self.actor = MLP(sizes, theta[:n])
-        self.critic = MLP(sizes, theta[n + 1:])
+        self.actor = MLP(self.sizes, self.theta[:n])
+        self.critic = MLP(self.sizes, self.theta[n + 1:])
 
     def __reduce__(self):
         # No run pickles a policy (pool cells ship none back); a pickle must still
         # rebuild the nets as views of theta, as pickling them would copy each layer.
-        return PolicyParams, (self.theta, self.actor.sizes, self.mode)
+        return PolicyParams, (self.theta, self.sizes, self.mode)
 
     @property
     def log_std(self) -> float:

@@ -3,8 +3,10 @@
 All JSON output is emitted with sorted keys and no timestamps so identical
 configs produce byte-identical files.  Model containers are plain NPZ
 archives written into ``.bin`` files through an open file handle (np.savez
-would otherwise force an .npz suffix).  A genome or safe-model checkpoint is
-its dataclasses' fields in declaration order; the policy is hand-laid.
+would otherwise force an .npz suffix).  Every checkpoint is its dataclasses'
+fields in declaration order: genome raw, m, k plus meta; safe model A, b,
+residual_rms, ridge, delta0, kappa, lambda_env, lambda_pred; policy theta,
+sizes, mode.
 """
 
 from __future__ import annotations
@@ -133,27 +135,11 @@ def load_genome(path):
 
 
 def save_policy(path, policy: PolicyParams) -> None:
-    na = policy.actor.n_params
-    _savez(
-        path,
-        actor_sizes=np.array(policy.actor.sizes),
-        actor_params=policy.theta[:na],
-        critic_sizes=np.array(policy.critic.sizes),
-        critic_params=policy.theta[na + 1:],
-        log_std=np.array(policy.log_std),
-        mode=np.array(policy.mode),
-        obs_dim=np.array(policy.obs_dim),
-    )
+    _savez(path, policy)
 
 
 def load_policy(path) -> PolicyParams:
-    data = _read_npz(path)
-    sizes = [int(s) for s in data["actor_sizes"]]
-    if [int(s) for s in data["critic_sizes"]] != sizes:
-        raise ValidationError("critic sizes do not match actor sizes")
-    theta = np.concatenate([data["actor_params"], [data["log_std"]],
-                            data["critic_params"]], dtype=float)
-    return PolicyParams(theta, sizes, data["mode"].item())
+    return _record(_read_npz(path), PolicyParams)
 
 
 def save_safe_model(path, model: SafeStateModel, disc: DiscrepancyParams) -> None:

@@ -4,17 +4,19 @@ import json
 import re
 import shlex
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from afferent.afferents import handcrafted_genome
+from afferent.afferents import Genome, handcrafted_genome
 from afferent import harness
 from afferent.cli import _resolve_config, build_parser, main
 from afferent.config import _FLAGS, ARMS, load_config, parse_config
 from afferent.errors import TrainingError
-from afferent.policy import init_policy
+from afferent.policy import PolicyParams, init_policy
+from afferent.predictive import DiscrepancyParams, SafeStateModel
 from afferent.storage import save_genome, save_policy
 from afferent.util import rng_for
 
@@ -125,7 +127,18 @@ SAVE = {"genome": lambda path: save_genome(path, handcrafted_genome(8, 3)),
 # The member raw_member stores as bytes without the .npy header.
 RAW_MEMBER = {"genome": ("m.npy", b"8"), "policy": ("mode.npy", b"base")}
 # The member inconsistent stores one element short of the checkpoint's own sizes.
-SHORT_MEMBER = {"genome": "raw", "policy": "actor_params"}
+SHORT_MEMBER = {"genome": "raw", "policy": "theta"}
+
+
+def _save_legacy_policy(path):
+    """The policy layout written before the checkpoint became (theta, sizes, mode)."""
+    policy = init_policy(11, rng_for(0, 0), "base", (8,))
+    na = policy.actor.n_params
+    with open(path, "wb") as fh:
+        np.savez(fh, actor_sizes=np.array(policy.sizes), actor_params=policy.theta[:na],
+                 critic_sizes=np.array(policy.sizes), critic_params=policy.theta[na + 1:],
+                 log_std=np.array(policy.log_std), mode=np.array(policy.mode),
+                 obs_dim=np.array(policy.obs_dim))
 
 
 def _replace_member(path, name, data):
@@ -137,9 +150,12 @@ def _replace_member(path, name, data):
             zf.writestr(member, content)
 
 
-@pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated", "other_kind",
-                                     "raw_member", "inconsistent"])
-@pytest.mark.parametrize("key, command", [("genome", "train"), ("policy", "evaluate")])
+@pytest.mark.parametrize("key, command, content", [
+    (key, command, content)
+    for key, command in (("genome", "train"), ("policy", "evaluate"))
+    for content in ("text", "empty", "npy", "truncated", "other_kind", "raw_member",
+                    "inconsistent")
+] + [("policy", "evaluate", "legacy")])
 def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_path, capsys):
     path = tmp_path / "bad.bin"
     if content == "text":
@@ -163,6 +179,8 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
         npy = io.BytesIO()
         np.save(npy, short)
         _replace_member(path, f"{SHORT_MEMBER[key]}.npy", npy.getvalue())
+    elif content == "legacy":
+        _save_legacy_policy(path)
     else:  # a checkpoint of the other kind
         SAVE["policy" if key == "genome" else "genome"](path)
     cfg = tmp_path / "bad.cfg"
@@ -171,7 +189,7 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
-    if content not in ("other_kind", "raw_member", "inconsistent"):  # the zip archives
+    if content not in ("other_kind", "raw_member", "inconsistent", "legacy"):  # the zip archives
         assert "not an NPZ archive" in err
     if (key, content) == ("genome", "inconsistent"):
         assert "genome length 55 does not match m*(k+4)=56" in err
@@ -400,11 +418,27 @@ def test_zero_predictive_weights_exit_2_before_ablate_writes(tmp_path, capsys):
     assert "predictive.lambda_env" in err and "predictive.lambda_pred" in err
 
 
-def test_readme_layout_names_every_module():
+def _readme_layout() -> str:
     text = README.read_text()
     layout = text[text.index("## Layout"):]
-    layout = layout[:layout.index("\n## ", 1)]
+    return layout[:layout.index("\n## ", 1)]
+
+
+def test_readme_layout_names_every_module():
+    layout = _readme_layout()
     listed = re.findall(r"^  (\w+\.py) ", layout, re.M)
     package = README.parent / "src" / "afferent"
     assert sorted(listed) == sorted(p.name for p in package.glob("*.py")
                                     if not p.name.startswith("_"))
+
+
+def test_readme_checkpoint_layouts_are_the_records_fields():
+    layout = _readme_layout()
+    entry = layout[layout.index("  storage.py "):layout.index("  cli.py ")]
+    listing = " ".join(entry[entry.index("declaration order:"):].split())
+    listed = dict(re.findall(r"(genome|safe model|policy) (\w+(?:, \w+)*)", listing))
+    records = {"genome": [Genome], "safe model": [SafeStateModel, DiscrepancyParams],
+               "policy": [PolicyParams]}
+    assert listed == {name: ", ".join(f.name for r in rs for f in fields(r))
+                      for name, rs in records.items()}
+    assert f"genome {listed['genome']} plus meta;" in listing

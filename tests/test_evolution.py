@@ -68,7 +68,7 @@ def test_run_evolution_history_and_determinism():
                                m=4, k=3, ppo_cfg=TINY_PPO, seed=5)
     assert len(hist) == 2
     for row in hist:
-        assert set(row) == {"generation", "best", "mean", "std"}
+        assert set(row) == {"generation", "best", "mean", "std", "failed", "sigma"}
         assert row["best"] >= row["mean"] - 1e-12
     assert best.m == 4 and best.k == 3
     decode_genome(best, 1.0)  # evolved genome must stay decodable
@@ -76,6 +76,23 @@ def test_run_evolution_history_and_determinism():
                                  m=4, k=3, ppo_cfg=TINY_PPO, seed=5)
     assert hist == hist2
     assert np.array_equal(best.raw, best2.raw)
+
+
+def test_run_evolution_counts_failed_candidates_and_sigma(monkeypatch):
+    real, calls = evolution.rl_train, []
+
+    def rl_train(setup, ppo, seed):
+        calls.append(seed)
+        if len(calls) == 1:
+            raise TrainingError("injected")
+        return real(setup, ppo, seed)
+
+    monkeypatch.setattr(evolution, "rl_train", rl_train)
+    _, hist = run_evolution(TINY_SPEC, generations=2, popsize=4, build=tiny_build(),
+                            m=4, k=3, ppo_cfg=TINY_PPO, seed=5, sigma0=0.3)
+    assert [row["failed"] for row in hist] == [1, 0]
+    assert hist[0]["best"] > float("-inf")
+    assert hist[0]["sigma"] == 0.3 != hist[1]["sigma"]
 
 
 def test_lipschitz_probe_scales_linearly():

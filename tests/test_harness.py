@@ -241,12 +241,19 @@ def _tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _genome_file(tmp_path) -> str:
+    """The handcrafted genome saved beside, not inside, the out trees."""
+    path = tmp_path / "handcrafted.bin"
+    save_genome(path, handcrafted_genome(8, 3))
+    return str(path)
+
+
 def test_ablation_output_does_not_depend_on_jobs(tmp_path):
-    genome = handcrafted_genome(8, 3)
+    genome = _genome_file(tmp_path)
     trees = []
     for jobs in (1, 2, 3):
         out = tmp_path / f"jobs{jobs}"
-        run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
+        run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs, genome=genome))
         trees.append(_tree_bytes(out))
     assert trees[0] and trees[0] == trees[1] == trees[2]
 
@@ -265,12 +272,12 @@ def _fail_one_cell(monkeypatch, mode, seed):
 
 def test_failed_ablation_cell_writes_manifest_at_any_jobs(tmp_path, monkeypatch):
     _fail_one_cell(monkeypatch, "plain", 1)  # no_cat at seed 1
-    genome = handcrafted_genome(8, 3)
+    genome = _genome_file(tmp_path)
     trees = []
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         with pytest.raises(TrainingError, match="1 cell.* failed.*first: injected"):
-            run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs), genome=genome)
+            run_ablation(micro_cfg(out, seeds=(0, 1), jobs=jobs, genome=genome))
         trees.append(_tree_bytes(out))
     assert trees[0] == trees[1]
     manifest = json.loads(trees[0]["reports/failure_manifest.json"])
@@ -417,8 +424,9 @@ def test_parallel_map_runs_each_item_once_on_eight_processes(tmp_path):
 
 
 def test_reports_agree_with_episode_rows(tmp_path):
-    cfg = micro_cfg(tmp_path / "ablate", seeds=(0, 1), eval_episodes=2)
-    run_ablation(cfg, genome=handcrafted_genome(8, 3))
+    cfg = micro_cfg(tmp_path / "ablate", seeds=(0, 1), eval_episodes=2,
+                    genome=_genome_file(tmp_path))
+    run_ablation(cfg)
     out = tmp_path / "ablate"
     with open(out / "curves" / "ablation_normal.csv") as fh:
         csv_rows = list(csv.DictReader(fh))

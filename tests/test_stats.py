@@ -24,6 +24,35 @@ def test_t_sf_reference_values(t, df, expected):
     assert t_sf(t, df) == pytest.approx(expected, rel=1e-10, abs=1e-16)
 
 
+# Exact bits on a fixed grid, recorded with float.hex: the continued fraction
+# may be rewritten only in ways that keep every float it returns.
+T_GRID, DF_GRID = (0.1, 0.7, 1.5, 3.0, 12.0), (1.0, 2.5, 7.0, 40.0)
+T_SF_BITS = [
+    "0x1.df835890bf95bp-2", "0x1.db09759786bfap-2", "0x1.d8a6dccabca5ap-2",
+    "0x1.d778d8731aaf6p-2", "0x1.38ef2d4ece0c1p-2", "0x1.16392c36f7bb2p-2",
+    "0x1.035644c30f65cp-2", "0x1.f3b0b57facda0p-3", "0x1.7f516f1bbd09dp-3",
+    "0x1.fb91ada619258p-4", "0x1.6b1b781a04830p-4", "0x1.21b9556154f10p-4",
+    "0x1.a37f5c4c419e9p-4", "0x1.29458d4dabe12p-5", "0x1.46bb56e32ce46p-7",
+    "0x1.2f70daf2e86e1p-9", "0x1.b198e58b36073p-6", "0x1.73bf9598e36a5p-10",
+    "0x1.aab2f0c6799fbp-19", "0x1.19e53e2966c4ap-48",
+]
+A_GRID, B_GRID, X_GRID = (0.5, 2.0, 9.5), (0.5, 3.0), (0.05, 0.4, 0.9)
+BETAINC_BITS = [
+    "0x1.260615ae5dae5p-3", "0x1.be5e15eb156bfp-2", "0x1.972028ecef986p-1",
+    "0x1.9f3a97d2ef215p-2", "0x1.d0ad7f9d5cf3dp-1", "0x1.ffd567a8c2d14p-1",
+    "0x1.f3f34b87c57d3p-11", "0x1.20b3d3d9eea1dp-4", "0x1.153b858becb0ap-1",
+    "0x1.cb5dcc63f140fp-7", "0x1.0cb295e9e1b07p-1", "0x1.fe1b089a02752p-1",
+    "0x1.6ba61418bcbb2p-44", "0x1.3adcb43b58653p-15", "0x1.4ce7038e61528p-3",
+    "0x1.a6dac891bf9b9p-36", "0x1.0be39474590e8p-8", "0x1.ccce5eaa8c905p-1",
+]
+
+
+def test_t_sf_and_betainc_bits_are_pinned():
+    assert [t_sf(t, df).hex() for t in T_GRID for df in DF_GRID] == T_SF_BITS
+    assert [betainc_reg(a, b, x).hex()
+            for a in A_GRID for b in B_GRID for x in X_GRID] == BETAINC_BITS
+
+
 def test_t_sf_symmetry_and_validation():
     for t, df, _ in T_SF_CASES:
         assert t_sf(-t, df) == pytest.approx(1.0 - t_sf(t, df), abs=1e-12)

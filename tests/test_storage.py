@@ -123,11 +123,9 @@ def test_load_policy_rejects_mismatched_parts(tmp_path):
     save_policy(tmp_path / "p.bin", policy)
     with np.load(tmp_path / "p.bin") as data:
         arrays = dict(data)
-    for key, value in (("actor_params", arrays["actor_params"][:-1]),
-                       ("critic_sizes", np.array([5, 8, 1]))):
-        with open(tmp_path / "bad.bin", "wb") as fh:
-            np.savez(fh, **dict(arrays, **{key: value}))
-        with pytest.raises(ValidationError):
+    for key, value in (("theta", arrays["theta"][:-1]), ("sizes", np.array([5, 8, 1]))):
+        _write_npz(tmp_path / "bad.bin", **dict(arrays, **{key: value}))
+        with pytest.raises(ValidationError, match="parameter vector length mismatch"):
             load_policy(tmp_path / "bad.bin")
 
 
@@ -168,6 +166,10 @@ def _safe_model_arrays(model, disc):
                 lambda_env=np.array(disc.lambda_env), lambda_pred=np.array(disc.lambda_pred))
 
 
+def _policy_arrays(policy):
+    return dict(theta=policy.theta, sizes=np.array(policy.sizes), mode=np.array(policy.mode))
+
+
 def _safe_model():
     # A holds transposed least-squares coefficients, so it is Fortran-ordered.
     model = SafeStateModel(A=rng_for(5).normal(size=(7, 3)).T, b=np.array([0.1, 0.2, 0.3]),
@@ -187,6 +189,10 @@ def test_checkpoint_bytes_equal_spelled_out_layout(tmp_path):
     _write_npz(tmp_path / "m_ref.bin", **_safe_model_arrays(model, disc))
     assert (tmp_path / "m.bin").read_bytes() == (tmp_path / "m_ref.bin").read_bytes()
     assert load_safe_model(tmp_path / "m.bin")[0].A.flags.f_contiguous
+    policy = init_policy(5, rng_for(3), mode="epi", hidden=(8, 4))
+    save_policy(tmp_path / "p.bin", policy)
+    _write_npz(tmp_path / "p_ref.bin", **_policy_arrays(policy))
+    assert (tmp_path / "p.bin").read_bytes() == (tmp_path / "p_ref.bin").read_bytes()
 
 
 def test_checkpoint_member_names_and_order(tmp_path):
@@ -197,8 +203,7 @@ def test_checkpoint_member_names_and_order(tmp_path):
         "g.bin": ["raw", "m", "k", "meta"],
         "m.bin": ["A", "b", "residual_rms", "ridge", "delta0", "kappa", "lambda_env",
                   "lambda_pred"],
-        "p.bin": ["actor_sizes", "actor_params", "critic_sizes", "critic_params",
-                  "log_std", "mode", "obs_dim"],
+        "p.bin": ["theta", "sizes", "mode"],
     }
     for name, members in want.items():
         with np.load(tmp_path / name) as data:
@@ -220,8 +225,13 @@ def test_spelled_out_layout_loads_with_python_scalars(tmp_path):
     assert scalars == (0.04, True, 0.11, 8.0, 0.6, 0.4)
     assert [type(v) for v in scalars] == [float, bool, float, float, float, float]
     policy = init_policy(5, rng_for(3), mode="epi", hidden=(8, 4))
-    save_policy(tmp_path / "p.bin", policy)
-    assert type(load_policy(tmp_path / "p.bin").mode) is str
+    _write_npz(tmp_path / "p.bin", **_policy_arrays(policy))
+    p2 = load_policy(tmp_path / "p.bin")
+    assert np.array_equal(p2.theta, policy.theta) and p2.theta.dtype == float
+    assert (p2.sizes, p2.mode) == ((5, 8, 4, 1), "epi")
+    assert [type(v) for v in (*p2.sizes, p2.mode)] == [int, int, int, int, str]
+    for net in (p2.actor, p2.critic):  # the loaded theta is the one vector both nets read
+        assert all(np.shares_memory(w, p2.theta) for w in (*net.weights, *net.biases))
 
 
 @pytest.mark.parametrize("load", [load_genome, load_policy, load_safe_model])
