@@ -45,7 +45,6 @@ class EvolutionState:
     B: np.ndarray
     D: np.ndarray  # sqrt eigenvalues of cov
     rng: np.random.Generator
-    flagged_nonfinite: int = 0
 
 
 def _decompose(cov: np.ndarray):
@@ -112,9 +111,9 @@ def ask(state: EvolutionState) -> list:
 def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:
     """Standard rank-mu CMA-ES update; returns the successor state.
 
-    Non-finite fitnesses are assigned the worst rank ( -inf) and counted on
-    the returned state.  A fully tied generation carries the distribution
-    forward unchanged, since ranking then holds no information.
+    Non-finite fitnesses are assigned the worst rank (-inf).  A fully tied
+    generation carries the distribution forward unchanged, since ranking then
+    holds no information.
     """
     lam = len(candidates)
     if lam != state.popsize:
@@ -122,11 +121,9 @@ def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:
     f = np.asarray(fitnesses, dtype=float)
     if f.shape != (lam,):
         raise ValidationError("fitness count mismatch")
-    flagged = int(np.sum(~np.isfinite(f)))
     f = np.where(np.isfinite(f), f, -np.inf)
     if np.all(f == f[0]):
-        return replace(state, generation=state.generation + 1,
-                       flagged_nonfinite=state.flagged_nonfinite + flagged)
+        return replace(state, generation=state.generation + 1)
     X = np.stack([np.asarray(c, dtype=float) for c in candidates])
     if X.shape != (lam, state.n):
         raise ValidationError("candidate dimension mismatch")
@@ -165,8 +162,5 @@ def tell(state: EvolutionState, candidates, fitnesses) -> EvolutionState:
         np.exp((state.c_sigma / state.d_sigma) * (ps_norm / state.chi_n - 1.0))
     )
     cov, B, D = _decompose(cov)
-    return replace(
-        state, mean=mean_new, sigma=sigma, cov=cov, p_sigma=p_sigma, p_c=p_c,
-        generation=g1, B=B, D=D,
-        flagged_nonfinite=state.flagged_nonfinite + flagged,
-    )
+    return replace(state, mean=mean_new, sigma=sigma, cov=cov, p_sigma=p_sigma, p_c=p_c,
+                   generation=g1, B=B, D=D)

@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zipfile
-from dataclasses import fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .afferents import Genome
-from .errors import ValidationError
+from .errors import ValidationError, bounded, check_bounds
 from .policy import PolicyParams
 from .predictive import DiscrepancyParams, SafeStateModel
 
 __all__ = [
-    "ROLLOUT_SCHEMA",
+    "RolloutLine",
     "validate_rollout_line",
     "write_jsonl",
     "read_jsonl",
@@ -39,34 +40,46 @@ __all__ = [
     "load_safe_model",
 ]
 
-ROLLOUT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "time": {"type": "number", "minimum": 0.0},
-        "stress": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "strain": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "shear": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "scenario": {"type": "string"},
-        "load_factor": {"type": "number"},
-        "instability_index": {"type": "number"},
-        "cat": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "cat_embedding": {"type": "array", "items": {"type": "number"}},
-        "damage_increment": {"type": "number", "minimum": 0.0},
-    },
-    "required": [
-        "time", "stress", "strain", "shear", "scenario", "load_factor",
-        "instability_index", "cat", "cat_embedding", "damage_increment",
-    ],
-    "additionalProperties": False,
-}
+
+@dataclass
+class RolloutLine:
+    """One line of a simulate rollout log: its keys, their kinds and bounds."""
+
+    time: float = bounded(MISSING, ">= 0")
+    stress: float = bounded(MISSING, "in [0, 1]")
+    strain: float = bounded(MISSING, "in [0, 1]")
+    shear: float = bounded(MISSING, "in [0, 1]")
+    scenario: str
+    load_factor: float
+    instability_index: float
+    cat: float = bounded(MISSING, "in [0, 1]")
+    cat_embedding: list
+    damage_increment: float = bounded(MISSING, ">= 0")
+
+
+def _number(v) -> bool:
+    """A finite int or float; as in JSON, a bool is not a number."""
+    return (math.isfinite(v) if isinstance(v, float)
+            else isinstance(v, int) and not isinstance(v, bool))
+
+
+_KINDS = {"str": ("a string", lambda v: isinstance(v, str)),
+          "float": ("a finite number", _number),
+          "list": ("a list of finite numbers",
+                   lambda v: isinstance(v, list) and all(map(_number, v)))}
+_LINE_KINDS = {f.name: _KINDS[f.type] for f in fields(RolloutLine)}
 
 
 def validate_rollout_line(obj: dict) -> None:
-    # imported here: jsonschema takes 80 ms to import, and only simulate validates
-    from jsonschema import Draft202012Validator
-    errors = sorted(Draft202012Validator(ROLLOUT_SCHEMA).iter_errors(obj), key=str)
-    if errors:
-        raise ValidationError(f"rollout record invalid: {errors[0].message}")
+    """Hold obj to RolloutLine: exactly its keys, then each value's kind, then the bounds."""
+    def invalid(message):
+        return ValidationError(f"rollout record invalid: {message}")
+    if obj.keys() != _LINE_KINDS.keys():
+        raise invalid(f"keys must be {', '.join(_LINE_KINDS)}, not {', '.join(map(str, obj))}")
+    for name, (kind, holds) in _LINE_KINDS.items():
+        if not holds(obj[name]):
+            raise invalid(f"{name} must be {kind}")
+    check_bounds(RolloutLine(**obj), invalid)
 
 
 def write_jsonl(path, records) -> None:
@@ -121,6 +134,9 @@ def _read_npz(path) -> dict:
 
 def _record(data, cls):
     """A cls from the members named by its init fields, 0-d ones as Python scalars."""
+    missing = [f.name for f in fields(cls) if f.init and f.name not in data]
+    if missing:
+        raise ValidationError(f"missing member {missing[0]!r} of a {cls.__name__} checkpoint")
     members = {f.name: data[f.name] for f in fields(cls) if f.init}
     return cls(**{k: a.item() if a.ndim == 0 else a for k, a in members.items()})
 

@@ -128,6 +128,8 @@ SAVE = {"genome": lambda path: save_genome(path, handcrafted_genome(8, 3)),
 RAW_MEMBER = {"genome": ("m.npy", b"8"), "policy": ("mode.npy", b"base")}
 # The member inconsistent stores one element short of the checkpoint's own sizes.
 SHORT_MEMBER = {"genome": "raw", "policy": "theta"}
+# What a checkpoint of another layout lacks: the first member the record reads.
+MISSING_MEMBER = {"genome": "'raw' of a Genome", "policy": "'theta' of a PolicyParams"}
 
 
 def _save_legacy_policy(path):
@@ -191,6 +193,8 @@ def test_malformed_checkpoint_exits_2_naming_file(key, command, content, tmp_pat
     assert "config error" in err and f"{key} file {path} is not a {key} checkpoint" in err
     if content not in ("other_kind", "raw_member", "inconsistent", "legacy"):  # the zip archives
         assert "not an NPZ archive" in err
+    if content in ("other_kind", "legacy"):
+        assert f"missing member {MISSING_MEMBER[key]} checkpoint" in err
     if (key, content) == ("genome", "inconsistent"):
         assert "genome length 55 does not match m*(k+4)=56" in err
     assert "allow_pickle" not in err

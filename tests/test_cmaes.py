@@ -37,7 +37,7 @@ def test_init_strategy_parameters():
     assert np.all(np.diff(state.weights) < 0)  # rank weights decrease
     assert state.mu_eff == pytest.approx(1.0 / np.sum(state.weights**2), abs=1e-12)
     assert np.array_equal(state.cov, np.eye(5))
-    assert state.generation == 0 and state.flagged_nonfinite == 0
+    assert state.generation == 0
 
 
 def test_ask_shapes_and_distribution():
@@ -78,11 +78,14 @@ def test_tell_validation_and_flat_fitness():
     assert flat.sigma == state.sigma
 
 
-def test_tell_counts_nonfinite():
+def test_tell_ranks_nonfinite_fitness_worst():
     state = init_evolution(2, popsize=4, seed=4)
     cands = ask(state)
-    new = tell(state, cands, [1.0, np.nan, 2.0, np.inf])
-    assert new.flagged_nonfinite == 2
+    got = tell(state, cands, [1.0, np.nan, 2.0, np.inf])
+    want = tell(state, cands, [1.0, -np.inf, 2.0, -np.inf])
+    for k in ("mean", "cov", "p_c", "p_sigma"):
+        assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k
+    assert got.sigma == want.sigma
 
 
 def test_covariance_stays_positive_definite():
@@ -192,7 +195,6 @@ def test_tell_keeps_the_bits_of_the_reference_update(n):
         assert new.sigma == want["sigma"]
         state = new
     assert 0.0 in h_sigmas and 1.0 in h_sigmas
-    assert state.flagged_nonfinite == 1
 
 
 def test_tell_holds_few_square_buffers():

@@ -1,8 +1,14 @@
+import ast
 import json
+import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import afferent
 from afferent.afferents import Genome, handcrafted_genome
 from afferent.errors import ValidationError
 from afferent.policy import init_policy
@@ -36,11 +42,7 @@ GOOD_LINE = {
 }
 
 
-def test_schema_accepts_good_line():
-    validate_rollout_line(GOOD_LINE)
-
-
-@pytest.mark.parametrize("mutate", [
+BAD_MUTATIONS = [
     lambda d: d.pop("cat"),
     lambda d: d.update(cat=1.5),
     lambda d: d.update(stress=-0.1),
@@ -48,18 +50,104 @@ def test_schema_accepts_good_line():
     lambda d: d.update(cat_embedding="dense"),
     lambda d: d.update(damage_increment=-1e-9),
     lambda d: d.update(surprise=1.0),
-])
+]
+
+# The JSON Schema rollout lines were once validated against, kept as the
+# reference that RolloutLine's keys, kinds and bounds must agree with.
+ROLLOUT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "time": {"type": "number", "minimum": 0.0},
+        "stress": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "strain": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "shear": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "scenario": {"type": "string"},
+        "load_factor": {"type": "number"},
+        "instability_index": {"type": "number"},
+        "cat": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "cat_embedding": {"type": "array", "items": {"type": "number"}},
+        "damage_increment": {"type": "number", "minimum": 0.0},
+    },
+    "required": [
+        "time", "stress", "strain", "shear", "scenario", "load_factor",
+        "instability_index", "cat", "cat_embedding", "damage_increment",
+    ],
+    "additionalProperties": False,
+}
+
+PROBES = (0, 1, -0.1, 1.5, 2, -3, True, None, "x", [], [0.1], [[0.1]], ["a"], [True], {}, -0.0)
+NUMERIC_KEYS = [k for k, v in GOOD_LINE.items() if isinstance(v, float)]
+NONFINITE = [(k, v) for k in NUMERIC_KEYS for v in (math.nan, math.inf, -math.inf)]
+NONFINITE.append(("cat_embedding", [math.nan]))
+
+
+def _mutated(mutate):
+    line = dict(GOOD_LINE)
+    mutate(line)
+    return line
+
+
+def _accepts(line) -> bool:
+    try:
+        validate_rollout_line(line)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_schema_accepts_good_line():
+    validate_rollout_line(GOOD_LINE)
+
+
+@pytest.mark.parametrize("mutate", BAD_MUTATIONS)
 def test_schema_rejects_bad_lines(mutate):
-    bad = dict(GOOD_LINE)
-    mutate(bad)
-    with pytest.raises(ValidationError):
-        validate_rollout_line(bad)
+    with pytest.raises(ValidationError, match="^rollout record invalid: "):
+        validate_rollout_line(_mutated(mutate))
 
 
-def test_cli_and_harness_import_without_jsonschema(run_python):
-    # Only simulate validates rollout lines, so no other command pays the import.
-    code = "import sys, afferent.cli, afferent.harness; print('jsonschema' in sys.modules)"
-    assert run_python(code, timeout=60).strip() == "False"
+def test_rollout_line_verdicts_match_the_json_schema():
+    from jsonschema import Draft202012Validator
+
+    reference = Draft202012Validator(ROLLOUT_SCHEMA)
+    lines = [GOOD_LINE, *map(_mutated, BAD_MUTATIONS),
+             *(dict(GOOD_LINE, **{k: v}) for k in GOOD_LINE for v in PROBES),
+             {k: v for k, v in GOOD_LINE.items() if k != "time"}, dict(GOOD_LINE, extra=0.0)]
+    verdicts = [(line, _accepts(line), reference.is_valid(line)) for line in lines]
+    assert [v for v in verdicts if v[1] != v[2]] == []
+    assert {v[1] for v in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("key, value", NONFINITE)
+def test_rollout_line_rejects_nonfinite_numbers(key, value):
+    # JSON has no NaN or Infinity: json.dumps would write them as bare tokens.
+    with pytest.raises(ValidationError, match=f"^rollout record invalid: {key} must be a "):
+        validate_rollout_line(dict(GOOD_LINE, **{key: value}))
+
+
+def test_bound_failures_read_like_config_bounds():
+    for key, value, bound in (("cat", 1.5, "in [0, 1]"), ("time", -1, ">= 0"),
+                              ("damage_increment", -1e-9, ">= 0")):
+        with pytest.raises(ValidationError) as info:
+            validate_rollout_line(dict(GOOD_LINE, **{key: value}))
+        assert str(info.value) == f"rollout record invalid: {key} must be {bound}"
+
+
+def test_runtime_imports_are_stdlib_and_numpy():
+    tomllib = pytest.importorskip("tomllib")
+    for path in sorted(Path(afferent.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    dependencies = pyproject["project"]["dependencies"]
+    assert [re.match(r"[\w-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 def test_jsonl_round_trip_and_sorted_keys(tmp_path):
